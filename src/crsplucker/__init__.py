@@ -1,83 +1,32 @@
 """Exact symbolic computation of equivariant classes of coincident root
 strata and the generalized Plucker formulas they encode."""
 
-from .combinat import (
-    InputPartition,
-    complete_homogeneous_class,
-    enumerate_partitions_no_ones,
-    kostka_two_row,
-    kostka_vanishing,
-    stirling_first,
-)
-from .crs import ClassCache, PivotPolicy, assert_divisibility, crs_class, recursion_step
-from .exactalg import (
-    DLaurent,
-    DPoly,
-    Rat,
-    dpoly,
-    dpoly_eval,
-    dpoly_shift,
-    laurent_reduce,
-)
+from .combinat import InputPartition, enumerate_partitions_no_ones, kostka_two_row, stirling_first
+from .crs import ClassCache, PivotPolicy, crs_class
+from .exactalg import DPoly
 from .plucker import (
-    LeadingPrediction,
-    PluckerFormula,
-    PluckerTable,
     plucker_formulas,
     plucker_value,
     predicted_leading,
     top_degree_class,
-    verify_leading,
     ym_class_closed_form,
 )
-from .symfunc import (
-    SchurClass,
-    SignedSchurTerm,
-    TwoRowPartition,
-    class_product,
-    monomial_divdiff,
-    schur_product_support,
-    shift_both,
-    split_shift,
-    weighted_divdiff,
-)
+from .symfunc import SchurClass
 
 __all__ = [
     "ClassCache",
-    "DLaurent",
     "DPoly",
     "InputPartition",
-    "LeadingPrediction",
     "PivotPolicy",
-    "PluckerFormula",
-    "PluckerTable",
-    "Rat",
     "SchurClass",
-    "SignedSchurTerm",
-    "TwoRowPartition",
-    "assert_divisibility",
-    "class_product",
-    "complete_homogeneous_class",
     "crs_class",
-    "dpoly",
-    "dpoly_eval",
-    "dpoly_shift",
     "enumerate_partitions_no_ones",
     "kostka_two_row",
-    "kostka_vanishing",
-    "laurent_reduce",
-    "monomial_divdiff",
     "plucker_formulas",
     "plucker_value",
     "predicted_leading",
-    "recursion_step",
-    "schur_product_support",
-    "shift_both",
-    "split_shift",
     "stirling_first",
     "top_degree_class",
-    "verify_leading",
-    "weighted_divdiff",
     "ym_class_closed_form",
 ]
 

@@ -5,8 +5,9 @@ Subcommands:
   plucker  print the Plucker formula table, or evaluate counts
   verify   sweep all partitions up to a weight and run the consistency checks
 
-Exit codes: 0 success, 1 verification failure, 2 bad input/flags,
-3 internal assertion failure, 4 evaluation below the validity floor.
+Exit codes: 0 success, 1 verification failure (including a MISMATCH row
+printed by plucker), 2 bad input/flags, 3 internal assertion failure (a
+divisibility violation), 4 evaluation below the validity floor.
 Stdout carries data, stderr diagnostics.
 """
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 from .combinat import InputPartition, enumerate_partitions_no_ones
 from .crs import ClassCache, PivotPolicy, class_to_json, crs_class
-from .errors import BadIndex, BelowValidityFloor, DivisibilityViolation, NonPolynomial
+from .errors import BadIndex, BelowValidityFloor, DivisibilityViolation
 from .exactalg import format_dpoly, format_rat
 from .plucker import (
     plucker_formulas,
@@ -250,7 +251,7 @@ def cmd_plucker(args):
         print(render_table_latex(table))
     else:
         print(render_table_plain(table))
-    return EXIT_OK
+    return EXIT_OK if table.all_match() else EXIT_VERIFY_FAILED
 
 
 def cmd_verify(args):
@@ -311,7 +312,8 @@ def build_parser():
     p_pl = sub.add_parser("plucker", help="Plucker formulas and values")
     p_pl.add_argument("partition")
     p_pl.add_argument("--codim", type=int, default=None, help="codimension index c - 2j")
-    p_pl.add_argument("--all", action="store_true", help="print every row (default)")
+    # every row is printed by default; --all stays accepted for old scripts
+    p_pl.add_argument("--all", action="store_true", help=argparse.SUPPRESS)
     p_pl.add_argument("--eval", type=int, default=None, metavar="D0", help="evaluate at degree D0")
     p_pl.add_argument("--format", choices=["plain", "json", "latex"], default="plain")
     p_pl.set_defaults(func=cmd_plucker)
@@ -333,7 +335,7 @@ def main(argv=None):
     except BelowValidityFloor as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_BELOW_FLOOR
-    except (NonPolynomial, DivisibilityViolation) as exc:
+    except DivisibilityViolation as exc:
         print(f"internal assertion failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except (ValueError, BadIndex) as exc:

@@ -2,10 +2,10 @@
 
 One step removes a part m from the partition: split the smaller class into
 the shift components B_t, pair each with the divided-difference class A_t,
-sum (1/e_m) * sum_t (m/d)^t A_t B_t, reduce to polynomial coefficients and
-translate d by -m.  Divisibility of each B_t coefficient by d^t and
-polynomiality of the final sum are asserted at runtime: both are guaranteed
-by the underlying algebra, so a failure is an implementation bug.
+sum (1/e_m) * sum_t m^t A_t (B_t / d^t) and translate d by -m.  Each B_t is
+divided by d^t exactly before the product, so every term, and hence the sum,
+is a polynomial.  The divisibility is guaranteed by the underlying algebra
+and checked at runtime: a failure is an implementation bug.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinat import InputPartition
-from .errors import DivisibilityViolation, NonPolynomial
-from .exactalg import dpoly_from_coeff_strings, dpoly_shift, dpoly_to_coeff_strings, laurent_reduce
+from .errors import DivisibilityViolation
+from .exactalg import DPoly, dpoly_from_coeff_strings, dpoly_shift, dpoly_to_coeff_strings
 from .symfunc import SchurClass, TwoRowPartition, class_product, split_shift, unit_class, weighted_divdiff
 
 MIN_PART = "min"
@@ -53,9 +53,9 @@ DEFAULT_POLICY = PivotPolicy.min_part()
 
 
 class ClassCache:
-    """Partition -> fully reduced SchurClass, safe for concurrent readers.
+    """Partition -> SchurClass, safe for concurrent readers.
 
-    Only validated polynomial classes are stored; entries loaded from disk
+    Only classes of the partition's weight are stored; entries loaded from disk
     are re-checked before reuse so a corrupt cache can never poison results.
     """
 
@@ -100,7 +100,7 @@ class ClassCache:
                 if tuple(payload.get("partition", ())) != partition.parts:
                     raise ValueError("partition key/payload mismatch")
                 cache.put(partition, loaded)
-            except (ValueError, KeyError, TypeError, NonPolynomial):
+            except (ValueError, KeyError, TypeError):
                 continue
         return cache
 
@@ -110,9 +110,6 @@ def _validate_class(partition, schur_class):
         raise ValueError(
             f"class for {partition} has weight {schur_class.weight}, expected {partition.codim}"
         )
-    for rho, coeff in schur_class.items():
-        if not coeff.is_polynomial():
-            raise NonPolynomial([(e, c) for e, c in coeff.coeffs.items() if e < 0])
 
 
 def class_to_json(schur_class, partition=None):
@@ -136,36 +133,34 @@ def class_from_json(doc):
     return SchurClass(int(doc["codim"]), terms)
 
 
-def assert_divisibility(b_class, t):
-    """Check d^t divides every coefficient of B_t; raise DivisibilityViolation if not."""
+def divide_by_d_power(b_class, t):
+    """The class B_t / d^t; raise DivisibilityViolation if d^t does not divide
+    some coefficient of B_t."""
     if t == 0:
-        return
+        return b_class
+    quotient = {}
     for rho, coeff in b_class.items():
-        if not coeff.is_zero() and coeff.min_exponent < t:
+        terms = coeff.coeffs
+        if min(terms) < t:
             raise DivisibilityViolation(t, rho)
+        quotient[rho] = DPoly({e - t: c for e, c in terms.items()})
+    return SchurClass(b_class.weight, quotient)
 
 
 def recursion_step(y_prime, m, e_m):
     """One removal step: from the class of lambda' in d to the class of lambda in d.
 
-    y_prime must be fully reduced (polynomial coefficients).  Computes
-    (1/e_m) sum_t m^t d^(-t) A_t B_t, reduces each coefficient to a
-    polynomial and then substitutes d -> d - m.
+    Computes (1/e_m) sum_t m^t A_t (B_t / d^t) and then substitutes
+    d -> d - m.
     """
     if m < 2 or e_m < 1:
         raise ValueError("need m >= 2 and e_m >= 1")
     shifted = None
     for t, b_t in enumerate(split_shift(y_prime)):
-        assert_divisibility(b_t, t)
-        a_t = weighted_divdiff(t, m, use_shifted_d=True)
-        term = class_product(a_t, b_t)
-        if t:
-            factor = Fraction(m) ** t
-            term = term.map_coefficients(lambda c: (c * factor).shift_exponents(-t))
+        term = class_product(weighted_divdiff(t, m), divide_by_d_power(b_t, t).scale(m**t))
         shifted = term if shifted is None else shifted + term
     shifted = shifted.scale(Fraction(1, e_m))
-    reduced = shifted.map_coefficients(laurent_reduce)
-    return reduced.map_coefficients(lambda p: dpoly_shift(p, -m))
+    return shifted.map_coefficients(lambda p: dpoly_shift(p, -m))
 
 
 def _next_pivot(partition, policy, depth):
@@ -183,7 +178,7 @@ def crs_class(partition, policy=DEFAULT_POLICY, cache=None):
     as a SchurClass of weight codim with DPoly coefficients.
 
     The result is independent of the pivot policy.  A cache may be shared
-    across calls; only fully reduced classes are stored in it.
+    across calls.
     """
     if policy.kind == EXPLICIT and sorted(policy.sequence) != sorted(partition.parts):
         raise ValueError("explicit pivot sequence must list exactly the parts of the partition")

@@ -1,16 +1,8 @@
 """Exception types shared across the package.
 
-NonPolynomial and DivisibilityViolation signal internal bugs: the algebra
-guarantees both properties, so neither can be triggered by valid input.
+DivisibilityViolation signals an internal bug: the algebra guarantees that
+d^t divides every coefficient of B_t, so valid input cannot trigger it.
 """
-
-
-class NonPolynomial(Exception):
-    """A Laurent polynomial kept negative d-powers where a polynomial was required."""
-
-    def __init__(self, offending_terms):
-        self.offending_terms = list(offending_terms)
-        super().__init__(f"negative-exponent terms survived reduction: {self.offending_terms}")
 
 
 class DivisibilityViolation(Exception):

@@ -1,14 +1,10 @@
-"""Exact univariate (Laurent) polynomial arithmetic in the degree variable d.
+"""Exact univariate polynomial arithmetic in the degree variable d.
 
 Coefficients are exact rationals (fractions.Fraction); a polynomial is a
-sparse map exponent -> coefficient with no explicit zero entries.  The zero
-polynomial is the empty map and has degree -inf.
-
-DLaurent allows negative exponents; DPoly is the subclass restricted to
-exponents >= 0.  Arithmetic between two DPoly values stays DPoly, anything
-involving a genuine Laurent value is DLaurent.  laurent_reduce() is the one
-sanctioned way back from DLaurent to DPoly and raises NonPolynomial if
-negative-exponent terms survive.
+sparse map exponent -> coefficient with no explicit zero entries and no
+negative exponents.  The zero polynomial is the empty map and has degree
+-inf.  The recursion only ever divides by d^t where the division is exact,
+so no Laurent type is needed.
 """
 
 from __future__ import annotations
@@ -16,15 +12,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import NonPolynomial
-
 Rat = Fraction
 
 NEG_INF = float("-inf")
 
 
-class DLaurent:
-    """Sparse Laurent polynomial in d over the rationals. Immutable."""
+class DPoly:
+    """Sparse polynomial in d over the rationals. Immutable."""
 
     __slots__ = ("_coeffs",)
 
@@ -35,12 +29,10 @@ class DLaurent:
                 c = Fraction(c)
                 if c:
                     clean[int(e)] = c
-        self._check_exponents(clean)
+        bad = [e for e in clean if e < 0]
+        if bad:
+            raise ValueError(f"negative exponents in DPoly: {sorted(bad)}")
         object.__setattr__(self, "_coeffs", clean)
-
-    @staticmethod
-    def _check_exponents(coeffs):
-        pass
 
     # -- basic queries ---------------------------------------------------
 
@@ -51,16 +43,9 @@ class DLaurent:
     def is_zero(self):
         return not self._coeffs
 
-    def is_polynomial(self):
-        return all(e >= 0 for e in self._coeffs)
-
     @property
     def degree(self):
         return max(self._coeffs) if self._coeffs else NEG_INF
-
-    @property
-    def min_exponent(self):
-        return min(self._coeffs) if self._coeffs else NEG_INF
 
     @property
     def leading_coefficient(self):
@@ -71,53 +56,43 @@ class DLaurent:
 
     # -- ring operations --------------------------------------------------
 
-    def _result_class(self, other):
-        if isinstance(self, DPoly) and isinstance(other, DPoly):
-            return DPoly
-        return DLaurent
-
     def __add__(self, other):
-        if not isinstance(other, DLaurent):
+        if not isinstance(other, DPoly):
             return NotImplemented
         out = dict(self._coeffs)
         for e, c in other._coeffs.items():
             out[e] = out.get(e, Fraction(0)) + c
-        return self._result_class(other)(out)
+        return DPoly(out)
 
     def __sub__(self, other):
-        if not isinstance(other, DLaurent):
+        if not isinstance(other, DPoly):
             return NotImplemented
         out = dict(self._coeffs)
         for e, c in other._coeffs.items():
             out[e] = out.get(e, Fraction(0)) - c
-        return self._result_class(other)(out)
+        return DPoly(out)
 
     def __neg__(self):
-        return type(self)({e: -c for e, c in self._coeffs.items()})
+        return DPoly({e: -c for e, c in self._coeffs.items()})
 
     def __mul__(self, other):
-        if isinstance(other, DLaurent):
+        if isinstance(other, DPoly):
             out = {}
             for e1, c1 in self._coeffs.items():
                 for e2, c2 in other._coeffs.items():
                     e = e1 + e2
                     out[e] = out.get(e, Fraction(0)) + c1 * c2
-            return self._result_class(other)(out)
+            return DPoly(out)
         if isinstance(other, (int, Fraction)):
-            return type(self)({e: c * other for e, c in self._coeffs.items()})
+            return DPoly({e: c * other for e, c in self._coeffs.items()})
         return NotImplemented
 
     __rmul__ = __mul__
 
-    def shift_exponents(self, delta):
-        """Multiply by the monomial d^delta (Laurent if delta pushes below 0)."""
-        cls = DPoly if isinstance(self, DPoly) and (self.is_zero() or self.min_exponent + delta >= 0) else DLaurent
-        return cls({e + delta: c for e, c in self._coeffs.items()})
-
     # -- comparisons -------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, DLaurent):
+        if isinstance(other, DPoly):
             return self._coeffs == other._coeffs
         return NotImplemented
 
@@ -128,22 +103,10 @@ class DLaurent:
         return bool(self._coeffs)
 
     def __repr__(self):
-        return f"{type(self).__name__}({self._coeffs!r})"
+        return f"DPoly({self._coeffs!r})"
 
     def __str__(self):
         return format_dpoly(self)
-
-
-class DPoly(DLaurent):
-    """Polynomial in d: a DLaurent whose exponents are all >= 0."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def _check_exponents(coeffs):
-        bad = [e for e in coeffs if e < 0]
-        if bad:
-            raise ValueError(f"negative exponents in DPoly: {sorted(bad)}")
 
 
 ZERO = DPoly()
@@ -163,22 +126,12 @@ def dpoly_eval(p, d0):
 
 
 def dpoly_shift(p, delta):
-    """Return q with q(d) = p(d + delta); defined for polynomials only."""
-    if not p.is_polynomial():
-        raise ValueError("dpoly_shift is only defined on polynomial data")
+    """Return q with q(d) = p(d + delta)."""
     out = {}
     for e, c in p._coeffs.items():
         for i in range(e + 1):
             out[i] = out.get(i, Fraction(0)) + c * math.comb(e, i) * Fraction(delta) ** (e - i)
     return DPoly(out)
-
-
-def laurent_reduce(laurent):
-    """Convert a DLaurent to the equal DPoly, or raise NonPolynomial."""
-    bad = [(e, c) for e, c in sorted(laurent._coeffs.items()) if e < 0]
-    if bad:
-        raise NonPolynomial(bad)
-    return DPoly(laurent._coeffs)
 
 
 # -- canonical text/JSON rendering ----------------------------------------
@@ -195,8 +148,6 @@ def parse_rat(text):
 
 def dpoly_to_coeff_strings(p):
     """Dense coefficient list from exponent 0 upward, each a Rat string."""
-    if not p.is_polynomial():
-        raise ValueError("only polynomials have a dense coefficient list")
     if p.is_zero():
         return []
     return [format_rat(p.coefficient(e)) for e in range(p.degree + 1)]

@@ -116,11 +116,6 @@ def plucker_formulas(lam, policy=DEFAULT_POLICY, cache=None):
     return PluckerTable(lam, rows)
 
 
-def verify_leading(lam, policy=DEFAULT_POLICY, cache=None):
-    """Compare extracted degrees and leading coefficients with predictions."""
-    return plucker_formulas(lam, policy, cache)
-
-
 def index_to_j(lam, codim_index):
     """Convert a codimension index c - 2j to j, validating parity and range."""
     c = lam.codim

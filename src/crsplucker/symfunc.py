@@ -2,17 +2,17 @@
 
 All classes live in the basis s_(r1,r2)(a,b) with r1 >= r2 >= 0.  A
 SchurClass is a finite map from two-row partitions to d-coefficients
-(DLaurent), homogeneous of one {a,b}-degree, stored explicitly as `weight`
+(DPoly), homogeneous of one {a,b}-degree, stored explicitly as `weight`
 so the zero class still carries its grading.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import lru_cache
 from math import comb
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
-from .exactalg import DLaurent, DPoly, ONE, dpoly
+from .exactalg import DPoly, ONE, dpoly
 
 
 class TwoRowPartition(NamedTuple):
@@ -38,13 +38,8 @@ def two_row(r1, r2):
     return rho
 
 
-class SignedSchurTerm(NamedTuple):
-    sign: int  # -1, 0 or +1
-    partition: Optional[TwoRowPartition]  # absent exactly when sign == 0
-
-
 class SchurClass:
-    """Finite map TwoRowPartition -> DLaurent, homogeneous of {a,b}-degree `weight`."""
+    """Finite map TwoRowPartition -> DPoly, homogeneous of {a,b}-degree `weight`."""
 
     __slots__ = ("weight", "_terms")
 
@@ -54,7 +49,7 @@ class SchurClass:
             rho = two_row(*rho)
             if rho.weight != weight:
                 raise ValueError(f"term {rho} has weight {rho.weight}, class has weight {weight}")
-            if not isinstance(coeff, DLaurent):
+            if not isinstance(coeff, DPoly):
                 coeff = DPoly({0: coeff})
             if not coeff.is_zero():
                 clean[rho] = coeff
@@ -92,7 +87,7 @@ class SchurClass:
         return SchurClass(self.weight, out)
 
     def scale(self, factor):
-        """Multiply every coefficient by a scalar, DLaurent or Fraction/int."""
+        """Multiply every coefficient by a scalar, DPoly or Fraction/int."""
         return SchurClass(self.weight, {rho: c * factor for rho, c in self._terms.items()})
 
     def map_coefficients(self, fn, weight=None):
@@ -120,15 +115,16 @@ def unit_class():
 def monomial_divdiff(i, j):
     """Divided difference of the monomial a^i b^j: (a^i b^j - a^j b^i)/(b - a).
 
-    Kills symmetric monomials and returns a single signed Schur term otherwise.
+    Returns (sign, rho): the result is sign * s_rho, and (0, None) for the
+    symmetric monomials it kills.
     """
     if i < 0 or j < 0:
         raise ValueError("exponents must be nonnegative")
     if j > i:
-        return SignedSchurTerm(1, TwoRowPartition(j - 1, i))
+        return 1, TwoRowPartition(j - 1, i)
     if j == i:
-        return SignedSchurTerm(0, None)
-    return SignedSchurTerm(-1, TwoRowPartition(i - 1, j))
+        return 0, None
+    return -1, TwoRowPartition(i - 1, j)
 
 
 def schur_product_support(rho, sigma):
@@ -196,34 +192,35 @@ def split_shift(schur_class):
     return [SchurClass(w - t, b) for t, b in enumerate(buckets)]
 
 
-def linear_factor_expansion(m, use_shifted_d):
-    """Coefficients e_f(d) of prod_{i=0}^{m-1}(i*a + (D-i)*b) = sum_f e_f a^(m-f) b^f.
+@lru_cache(maxsize=None)
+def linear_factor_expansion(m):
+    """Coefficients e_f(d) of prod_{i=0}^{m-1}(i*a + (d+m-i)*b) = sum_f e_f a^(m-f) b^f.
 
-    D is d+m in the shifted form, plain d otherwise.  e_0 = 0 (the i = 0
-    factor has no a part), deg(e_f) = f and leading coefficients are positive.
-    Returns the list [e_0, ..., e_m].
+    e_0 = 0 (the i = 0 factor has no a part), deg(e_f) = f and leading
+    coefficients are positive.  Returns the tuple (e_0, ..., e_m); it is
+    cached, since every bucket of every recursion step with pivot m needs it.
     """
     coeffs = [ONE]  # index = power of b so far
     for i in range(m):
-        b_part = dpoly(m - i, 1) if use_shifted_d else dpoly(-i, 1)  # D - i
+        b_part = dpoly(m - i, 1)  # d + m - i
         nxt = [DPoly() for _ in range(len(coeffs) + 1)]
         for f, c in enumerate(coeffs):
             nxt[f] = nxt[f] + c * i
             nxt[f + 1] = nxt[f + 1] + c * b_part
         coeffs = nxt
-    return coeffs
+    return tuple(coeffs)
 
 
-def weighted_divdiff(t, m, use_shifted_d=True):
-    """The class A_t = divided difference of a^t * prod_{i=0}^{m-1}(i*a + (D-i)*b).
+def weighted_divdiff(t, m):
+    """The class A_t = divided difference of a^t * prod_{i=0}^{m-1}(i*a + (d+m-i)*b).
 
-    D = d + m when use_shifted_d is set (the form appearing inside one
-    recursion step), plain d otherwise (A_0 is then the length-one class
-    itself).  The result has weight m - 1 + t.
+    This is the form appearing inside one recursion step: with d + m in
+    place of d, A_0 is the class of the single part (m) translated by m.
+    The result has weight m - 1 + t.
     """
     if m < 2:
         raise ValueError("m must be at least 2")
-    e = linear_factor_expansion(m, use_shifted_d)
+    e = linear_factor_expansion(m)
     terms = {}
     for f in range(1, m + 1):
         if e[f].is_zero():

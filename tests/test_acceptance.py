@@ -21,7 +21,6 @@ from crsplucker.exactalg import DPoly, dpoly
 from crsplucker.plucker import (
     plucker_formulas,
     plucker_value,
-    verify_leading,
     ym_class_closed_form,
     top_degree_class,
     top_degree_slice,
@@ -82,7 +81,7 @@ def test_5_leading_term_sweep():
     start = time.monotonic()
     checked = 0
     for lam in enumerate_partitions_no_ones(14):
-        table = verify_leading(lam)
+        table = plucker_formulas(lam)
         bad = [row for row in table.rows if not row.match]
         assert not bad, f"{lam.canonical_string()}: {bad}"
         checked += len(table.rows)

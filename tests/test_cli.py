@@ -1,8 +1,13 @@
+import dataclasses
 import json
 
 import pytest
 
+import crsplucker.crs
+import crsplucker.plucker
 from crsplucker.cli import main
+from crsplucker.exactalg import dpoly
+from crsplucker.symfunc import SchurClass
 
 
 def run(capsys, *argv):
@@ -42,6 +47,22 @@ class TestClassCommand:
         assert code == 0
         assert "s_{1,0}" in out
 
+    def test_divisibility_violation_exits_3(self, capsys, monkeypatch):
+        real = crsplucker.crs.split_shift
+
+        def broken(schur_class):
+            # replace B_1 by a class whose coefficients d does not divide
+            buckets = real(schur_class)
+            if len(buckets) > 1:
+                b_1 = buckets[1]
+                buckets[1] = SchurClass(b_1.weight, {rho: dpoly(1) for rho in b_1.partitions()})
+            return buckets
+
+        monkeypatch.setattr(crsplucker.crs, "split_shift", broken)
+        code, _, err = run(capsys, "class", "2,2")
+        assert code == 3
+        assert "internal assertion failure" in err
+
     def test_output_stable_across_runs(self, capsys):
         first = run(capsys, "class", "4,3,2", "--format", "json")
         second = run(capsys, "class", "4,3,2", "--format", "json")
@@ -60,6 +81,22 @@ class TestPluckerCommand:
         lines = out.strip().splitlines()
         assert lines[0].startswith("Pl[3;2] = d^3 - 3*d^2 + 2*d")
         assert lines[1].startswith("Pl[3;0] = 3*d^2 - 6*d")
+
+    def test_mismatch_exits_1(self, capsys, monkeypatch):
+        real = crsplucker.plucker.predicted_leading
+
+        def wrong(lam, j):
+            prediction = real(lam, j)
+            if lam.parts == (2, 2) and j == 0:
+                return dataclasses.replace(prediction, coefficient=prediction.coefficient + 1)
+            return prediction
+
+        monkeypatch.setattr(crsplucker.plucker, "predicted_leading", wrong)
+        code, out, _ = run(capsys, "plucker", "2,2")
+        assert code == 1
+        lines = out.strip().splitlines()
+        assert len(lines) == 2
+        assert "MISMATCH" in lines[0] and "MISMATCH" not in lines[1]
 
     def test_bad_parity_exits_2(self, capsys):
         code, _, err = run(capsys, "plucker", "2,2", "--codim", "1")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -11,10 +12,10 @@ from crsplucker.combinat import (
 from crsplucker.crs import (
     ClassCache,
     PivotPolicy,
-    assert_divisibility,
     class_from_json,
     class_to_json,
     crs_class,
+    divide_by_d_power,
     recursion_step,
 )
 from crsplucker.errors import DivisibilityViolation
@@ -72,16 +73,30 @@ class TestRecursionStep:
 
 class TestDivisibility:
     def test_t_zero_always_ok(self):
-        assert_divisibility(y2(), 0)
+        assert divide_by_d_power(y2(), 0) == y2()
 
     def test_b1_of_y2_ok(self):
-        b1 = SchurClass(0, {TwoRowPartition(0, 0): dpoly(0, -2, 2)})
-        assert_divisibility(b1, 1)
+        b1 = SchurClass(0, {TwoRowPartition(0, 0): dpoly(0, -2, 2)})  # 2d^2 - 2d
+        assert divide_by_d_power(b1, 1) == SchurClass(0, {TwoRowPartition(0, 0): dpoly(-2, 2)})
 
     def test_violation_raises(self):
         bad = SchurClass(0, {TwoRowPartition(0, 0): dpoly(1, 1)})  # d + 1
         with pytest.raises(DivisibilityViolation):
-            assert_divisibility(bad, 1)
+            divide_by_d_power(bad, 1)
+
+
+class TestGoldenOutput:
+    # sha256 of the serialized classes of weight <= 16 before the recursion
+    # divided B_t by d^t ahead of the product; any change in output shows here
+    WEIGHT_16_SHA256 = "fac4e419a394b446c9b4a09c7f7d2f0c2ada24ccbaa782907e28f791223e48d2"
+
+    def test_weight_16_byte_identical(self):
+        cache = ClassCache()
+        text = "\n".join(
+            json.dumps(class_to_json(crs_class(lam, cache=cache), lam), sort_keys=True)
+            for lam in enumerate_partitions_no_ones(16)
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == self.WEIGHT_16_SHA256
 
 
 class TestStructuralProperties:

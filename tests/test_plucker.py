@@ -14,7 +14,6 @@ from crsplucker.plucker import (
     predicted_leading,
     threshold_pi2,
     top_degree_class,
-    verify_leading,
     ym_class_closed_form,
 )
 from crsplucker.symfunc import TwoRowPartition
@@ -146,14 +145,14 @@ class TestTopDegree:
 
 class TestVerifyLeading:
     def test_two_two_all_match(self):
-        assert verify_leading(InputPartition((2, 2))).all_match()
+        assert plucker_formulas(InputPartition((2, 2))).all_match()
 
     def test_10_2_2_all_match(self):
-        table = verify_leading(InputPartition((10, 2, 2)))
+        table = plucker_formulas(InputPartition((10, 2, 2)))
         assert [r.formula.formula.degree for r in table.rows] == [14, 14, 14, 13, 12, 11]
         assert table.all_match()
 
     def test_4_3_2_uniform_degree(self):
-        table = verify_leading(InputPartition((4, 3, 2)))
+        table = plucker_formulas(InputPartition((4, 3, 2)))
         assert all(r.formula.formula.degree == 9 for r in table.rows)
         assert table.all_match()

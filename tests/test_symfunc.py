@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crsplucker.exactalg import DPoly, dpoly
+from crsplucker.exactalg import DPoly, dpoly, dpoly_shift
 from crsplucker.symfunc import (
     SchurClass,
     TwoRowPartition,
@@ -179,29 +179,30 @@ class TestSplitShift:
 
 class TestWeightedDivdiff:
     def test_shifted_m2_is_translated_y2(self):
-        a0 = weighted_divdiff(0, 2, use_shifted_d=True)
+        a0 = weighted_divdiff(0, 2)
         assert a0 == SchurClass(1, {TwoRowPartition(1, 0): dpoly(2, 3, 1)})  # (d+2)(d+1)
 
     def test_unshifted_m3(self):
-        a0 = weighted_divdiff(0, 3, use_shifted_d=False)
-        assert a0 == SchurClass(
-            2,
-            {
-                TwoRowPartition(2, 0): dpoly(0, 2, -3, 1),  # d(d-1)(d-2)
-                TwoRowPartition(1, 1): dpoly(0, -6, 3),  # 3d(d-2)
-            },
-        )
+        # in plain d, A_0 for m = 3 is d(d-1)(d-2) s(2,0) + 3d(d-2) s(1,1)
+        plain = {
+            TwoRowPartition(2, 0): dpoly(0, 2, -3, 1),
+            TwoRowPartition(1, 1): dpoly(0, -6, 3),
+        }
+        expected = SchurClass(2, {rho: dpoly_shift(c, 3) for rho, c in plain.items()})
+        assert weighted_divdiff(0, 3) == expected
 
     def test_t1_m2(self):
         # A_1 for m = 2: -(d+2) s(1,1) + (d+2)(d+1) s(1,1) = d(d+2) s(1,1)
-        a1 = weighted_divdiff(1, 2, use_shifted_d=True)
+        a1 = weighted_divdiff(1, 2)
         assert a1 == SchurClass(2, {TwoRowPartition(1, 1): dpoly(0, 2, 1)})
-        a1_plain = weighted_divdiff(1, 2, use_shifted_d=False)
-        assert a1_plain == SchurClass(2, {TwoRowPartition(1, 1): dpoly(0, -2, 1)})
+        # in plain d, A_1 is d(d-2) s(1,1)
+        a1_plain = dpoly(0, -2, 1)
+        assert a1 == SchurClass(2, {TwoRowPartition(1, 1): dpoly_shift(a1_plain, 2)})
 
     def test_factor_expansion_degrees(self):
         for m in (2, 3, 4, 5):
-            e = linear_factor_expansion(m, use_shifted_d=True)
+            e = linear_factor_expansion(m)
+            assert isinstance(e, tuple)
             assert e[0].is_zero()
             for f in range(1, m + 1):
                 assert e[f].degree == f
@@ -212,13 +213,13 @@ class TestWeightedDivdiff:
         # instead check the divided difference termwise on the e_f expansion.
         for m in (2, 3, 4):
             for t in (0, 1, 2):
-                e = linear_factor_expansion(m, use_shifted_d=True)
+                e = linear_factor_expansion(m)
                 acc = {}
                 for f in range(1, m + 1):
                     for (u, v), c in divided_difference({(t + m - f, f): 1}).items():
                         acc[(u, v)] = acc.get((u, v), DPoly()) + c * e[f]
                 acc = {k: v for k, v in acc.items() if not v.is_zero()}
-                got = weighted_divdiff(t, m, use_shifted_d=True)
+                got = weighted_divdiff(t, m)
                 # greedy Schur extraction, with DPoly coefficients
                 remaining = dict(acc)
                 extracted = {}
