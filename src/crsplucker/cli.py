@@ -124,7 +124,10 @@ def render_table_latex(table):
 
 def open_cache(path):
     if path and os.path.exists(path):
-        return ClassCache.load(path)
+        try:
+            return ClassCache.load(path)
+        except ValueError as exc:
+            print(f"warning: cache file {path} does not parse, starting empty: {exc}", file=sys.stderr)
     return ClassCache()
 
 

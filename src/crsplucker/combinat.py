@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import OutOfRange, WeightMismatch
@@ -174,7 +173,7 @@ def complete_homogeneous_class(nu):
             raise ValueError("parts must be nonnegative")
         if part == 0:
             continue
-        h = SchurClass(part, {TwoRowPartition(part, 0): Fraction(1)})
+        h = SchurClass(part, {TwoRowPartition(part, 0): 1})
         result = class_product(result, h)
     return result
 

@@ -6,6 +6,10 @@ sum (1/e_m) * sum_t m^t A_t (B_t / d^t) and translate d by -m.  Each B_t is
 divided by d^t exactly before the product, so every term, and hence the sum,
 is a polynomial.  The divisibility is guaranteed by the underlying algebra
 and checked at runtime: a failure is an implementation bug.
+
+Only the 1/e_m has a denominator, and the e_m of a run multiply to prod e_i!
+whatever the pivot order.  So the steps run without it on the integral class
+prod e_i! * [Y_lambda], in int arithmetic, and _crs_class divides once.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinat import InputPartition
+from .combinat import InputPartition, factorial_of_multiplicities
 from .errors import DivisibilityViolation
 from .exactalg import DPoly, dpoly_from_coeff_strings, dpoly_shift, dpoly_to_coeff_strings
 from .symfunc import SchurClass, TwoRowPartition, class_product, split_shift, unit_class, weighted_divdiff
@@ -100,7 +104,7 @@ class ClassCache:
                 if tuple(payload.get("partition", ())) != partition.parts:
                     raise ValueError("partition key/payload mismatch")
                 cache.put(partition, loaded)
-            except (ValueError, KeyError, TypeError):
+            except (ValueError, KeyError, TypeError, ArithmeticError):
                 continue
         return cache
 
@@ -110,6 +114,9 @@ def _validate_class(partition, schur_class):
         raise ValueError(
             f"class for {partition} has weight {schur_class.weight}, expected {partition.codim}"
         )
+    scale = factorial_of_multiplicities(partition)
+    if any(scale % c.denominator for _, p in schur_class.items() for c in p.coeffs.values()):
+        raise ValueError(f"class for {partition} times prod e_i! = {scale} is not integral")
 
 
 def class_to_json(schur_class, partition=None):
@@ -147,19 +154,17 @@ def divide_by_d_power(b_class, t):
     return SchurClass(b_class.weight, quotient)
 
 
-def recursion_step(y_prime, m, e_m):
-    """One removal step: from the class of lambda' in d to the class of lambda in d.
+def recursion_step(y_prime, m):
+    """Map prod e_i! * [Y_lambda'] to prod e_i! * [Y_lambda], lambda = lambda' + (m).
 
-    Computes (1/e_m) sum_t m^t A_t (B_t / d^t) and then substitutes
-    d -> d - m.
+    Computes sum_t m^t A_t (B_t / d^t) and then substitutes d -> d - m.
     """
-    if m < 2 or e_m < 1:
-        raise ValueError("need m >= 2 and e_m >= 1")
+    if m < 2:
+        raise ValueError("need m >= 2")
     shifted = None
     for t, b_t in enumerate(split_shift(y_prime)):
         term = class_product(weighted_divdiff(t, m), divide_by_d_power(b_t, t).scale(m**t))
         shifted = term if shifted is None else shifted + term
-    shifted = shifted.scale(Fraction(1, e_m))
     return shifted.map_coefficients(lambda p: dpoly_shift(p, -m))
 
 
@@ -194,8 +199,8 @@ def _crs_class(partition, policy, cache, depth):
     if hit is not None:
         return hit
     m = _next_pivot(partition, policy, depth)
-    e_m = partition.multiplicities[m]
-    smaller = _crs_class(partition.remove(m), policy, cache, depth + 1)
-    result = recursion_step(smaller, m, e_m)
+    smaller = partition.remove(m)
+    sub = _crs_class(smaller, policy, cache, depth + 1).scale(factorial_of_multiplicities(smaller))
+    result = recursion_step(sub, m).scale(Fraction(1, factorial_of_multiplicities(partition)))
     cache.put(partition, result)
     return result

@@ -1,18 +1,17 @@
 """Exact univariate polynomial arithmetic in the degree variable d.
 
-Coefficients are exact rationals (fractions.Fraction); a polynomial is a
-sparse map exponent -> coefficient with no explicit zero entries and no
-negative exponents.  The zero polynomial is the empty map and has degree
--inf.  The recursion only ever divides by d^t where the division is exact,
-so no Laurent type is needed.
+Coefficients are exact: an integral one is stored as an int, any other as a
+fractions.Fraction, so integer work (the whole recursion) never builds a
+Fraction.  A polynomial is a sparse map exponent -> coefficient with no
+explicit zero entries and no negative exponents.  The zero polynomial is
+the empty map and has degree -inf.  The recursion only ever divides by d^t
+where the division is exact, so no Laurent type is needed.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-Rat = Fraction
 
 NEG_INF = float("-inf")
 
@@ -26,7 +25,8 @@ class DPoly:
         clean = {}
         if coeffs:
             for e, c in coeffs.items():
-                c = Fraction(c)
+                if type(c) is not int and (c := Fraction(c)).denominator == 1:
+                    c = c.numerator
                 if c:
                     clean[int(e)] = c
         bad = [e for e in clean if e < 0]
@@ -61,7 +61,7 @@ class DPoly:
             return NotImplemented
         out = dict(self._coeffs)
         for e, c in other._coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] = out.get(e, 0) + c
         return DPoly(out)
 
     def __sub__(self, other):
@@ -69,7 +69,7 @@ class DPoly:
             return NotImplemented
         out = dict(self._coeffs)
         for e, c in other._coeffs.items():
-            out[e] = out.get(e, Fraction(0)) - c
+            out[e] = out.get(e, 0) - c
         return DPoly(out)
 
     def __neg__(self):
@@ -81,7 +81,7 @@ class DPoly:
             for e1, c1 in self._coeffs.items():
                 for e2, c2 in other._coeffs.items():
                     e = e1 + e2
-                    out[e] = out.get(e, Fraction(0)) + c1 * c2
+                    out[e] = out.get(e, 0) + c1 * c2
             return DPoly(out)
         if isinstance(other, (int, Fraction)):
             return DPoly({e: c * other for e, c in self._coeffs.items()})
@@ -109,9 +109,7 @@ class DPoly:
         return format_dpoly(self)
 
 
-ZERO = DPoly()
 ONE = DPoly({0: 1})
-D = DPoly({1: 1})
 
 
 def dpoly(*coeffs):
@@ -130,7 +128,7 @@ def dpoly_shift(p, delta):
     out = {}
     for e, c in p._coeffs.items():
         for i in range(e + 1):
-            out[i] = out.get(i, Fraction(0)) + c * math.comb(e, i) * Fraction(delta) ** (e - i)
+            out[i] = out.get(i, 0) + c * math.comb(e, i) * delta ** (e - i)
     return DPoly(out)
 
 
@@ -142,12 +140,8 @@ def format_rat(r):
     return str(Fraction(r))
 
 
-def parse_rat(text):
-    return Fraction(text)
-
-
 def dpoly_to_coeff_strings(p):
-    """Dense coefficient list from exponent 0 upward, each a Rat string."""
+    """Dense coefficient list from exponent 0 upward, each a rational string."""
     if p.is_zero():
         return []
     return [format_rat(p.coefficient(e)) for e in range(p.degree + 1)]

@@ -21,7 +21,7 @@ from .combinat import (
 )
 from .crs import DEFAULT_POLICY, crs_class
 from .errors import BadIndex, BelowValidityFloor, OutOfRange
-from .exactalg import DPoly, Rat, dpoly_eval
+from .exactalg import DPoly, dpoly_eval
 from .symfunc import SchurClass, TwoRowPartition
 
 KOSTKA = "kostka"
@@ -161,8 +161,7 @@ def ym_class_closed_form(m):
                 c = ((-1) ** (k + i) * comb(k, i) - (-1) ** (k + m - i) * comb(k, m - i)) * stirling_first(m, k)
             else:
                 c = 0
-            if c:
-                coeffs[m - k] = Rat(c)
+            coeffs[m - k] = c
         terms[TwoRowPartition(m - 1 - i, i)] = DPoly(coeffs)
     return SchurClass(m - 1, terms)
 

@@ -90,9 +90,8 @@ class SchurClass:
         """Multiply every coefficient by a scalar, DPoly or Fraction/int."""
         return SchurClass(self.weight, {rho: c * factor for rho, c in self._terms.items()})
 
-    def map_coefficients(self, fn, weight=None):
-        w = self.weight if weight is None else weight
-        return SchurClass(w, {rho: fn(c) for rho, c in self._terms.items()})
+    def map_coefficients(self, fn):
+        return SchurClass(self.weight, {rho: fn(c) for rho, c in self._terms.items()})
 
     def __eq__(self, other):
         if isinstance(other, SchurClass):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -162,6 +163,38 @@ class TestCacheFile:
         assert code == 0
         parsed = json.loads(out)
         assert parsed["terms"][0]["coeff"] == ["0", "-3", "11/2", "-3", "1/2"]
+
+    def _tamper_two_two(self, capsys, path, coeff):
+        # cache a correct 2,2 entry, then replace its coefficients with `coeff(old)`
+        run(capsys, "--cache", str(path), "plucker", "2,2")
+        doc = json.loads(path.read_text())
+        for term in doc["2,2"]["terms"]:
+            term["coeff"] = [coeff(c) for c in term["coeff"]]
+        path.write_text(json.dumps(doc))
+
+    def test_non_integral_entry_recomputed(self, capsys, tmp_path):
+        # every coefficient divided by 4: well-formed, right weight, but 2! * class is not integral
+        path = tmp_path / "classes.json"
+        self._tamper_two_two(capsys, path, lambda c: str(Fraction(c) / 4))
+        code, out, _ = run(capsys, "--cache", str(path), "plucker", "2,2", "--codim", "0", "--eval", "4")
+        assert (code, out.strip()) == (0, "28")
+
+    @pytest.mark.parametrize("bad", ["1/0", float("inf")], ids=["zero-denominator", "infinity"])
+    def test_damaged_value_recomputed(self, capsys, tmp_path, bad):
+        path = tmp_path / "classes.json"
+        self._tamper_two_two(capsys, path, lambda c: bad)
+        code, out, _ = run(capsys, "--cache", str(path), "plucker", "2,2", "--codim", "0", "--eval", "4")
+        assert (code, out.strip()) == (0, "28")
+
+    def test_truncated_file_recomputed_with_warning(self, capsys, tmp_path):
+        path = tmp_path / "classes.json"
+        run(capsys, "--cache", str(path), "plucker", "2,2")
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])
+        code, out, err = run(capsys, "--cache", str(path), "plucker", "2,2", "--codim", "0", "--eval", "4")
+        assert (code, out.strip()) == (0, "28")
+        assert len(err.strip().splitlines()) == 1 and "warning" in err
+        assert "2,2" in json.loads(path.read_text())
 
     def test_env_var_default(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "env_cache.json"

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import crsplucker.crs
 from crsplucker.combinat import (
     InputPartition,
     enumerate_partitions_no_ones,
@@ -54,21 +55,40 @@ class TestBaseAndSmallCases:
 
 
 class TestRecursionStep:
+    # recursion_step maps prod e_i! * [Y_lambda'] to prod e_i! * [Y_lambda]
     def test_from_empty(self):
-        assert recursion_step(unit_class(), 2, 1) == y2()
+        assert recursion_step(unit_class(), 2) == y2()
 
     def test_two_two_from_two(self):
-        got = recursion_step(y2(), 2, 2)
-        assert got == crs_class(InputPartition((2, 2)))
+        got = recursion_step(y2(), 2)
+        assert got == crs_class(InputPartition((2, 2))).scale(2)
 
     def test_three_two_pivot_orders_agree(self):
-        via_3 = recursion_step(y2(), 3, 1)
-        via_2 = recursion_step(crs_class(InputPartition((3,))), 2, 1)
+        via_3 = recursion_step(y2(), 3)
+        via_2 = recursion_step(crs_class(InputPartition((3,))), 2)
         assert via_3 == via_2 == crs_class(InputPartition((3, 2)))
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
-            recursion_step(unit_class(), 1, 1)
+            recursion_step(unit_class(), 1)
+
+    def test_steps_run_in_int_arithmetic(self, monkeypatch):
+        real = crsplucker.crs.recursion_step
+        results = []
+
+        def recording(*args):
+            result = real(*args)
+            results.append(result)
+            return result
+
+        monkeypatch.setattr(crsplucker.crs, "recursion_step", recording)
+        cache = ClassCache()
+        for lam in enumerate_partitions_no_ones(14):
+            crs_class(lam, cache=cache)
+        assert len(results) == len(enumerate_partitions_no_ones(14))
+        for result in results:
+            for _, coeff in result.items():
+                assert all(type(c) is int for c in coeff.coeffs.values()), result
 
 
 class TestDivisibility:

@@ -36,6 +36,13 @@ class TestBasics:
         assert p.degree == 2
         assert p.leading_coefficient == 1
 
+    def test_integral_coefficients_stored_as_int(self):
+        two = DPoly({0: Fraction(4, 2)}).coefficient(0)
+        assert type(two) is int and two == 2
+        assert type(dpoly(Fraction(1, 2)).coefficient(0)) is Fraction
+        assert dpoly(2) == DPoly({0: Fraction(2)})
+        assert hash(dpoly(2)) == hash(DPoly({0: Fraction(2)}))
+
     def test_negative_exponent_rejected_in_dpoly(self):
         with pytest.raises(ValueError):
             DPoly({-1: 1})
