@@ -9,36 +9,35 @@ and checked at runtime: a failure is an implementation bug.
 
 Only the 1/e_m has a denominator, and the e_m of a run multiply to prod e_i!
 whatever the pivot order.  So the steps run without it on the integral class
-prod e_i! * [Y_lambda], in int arithmetic, and _crs_class divides once.
+prod e_i! * [Y_lambda], in int arithmetic, and class_via divides once.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinat import InputPartition, factorial_of_multiplicities
+from .combinat import InputPartition, complete_homogeneous_class, factorial_of_multiplicities
 from .errors import DivisibilityViolation
 from .exactalg import DPoly, dpoly_from_coeff_strings, dpoly_shift, dpoly_to_coeff_strings
 from .symfunc import SchurClass, TwoRowPartition, class_product, split_shift, unit_class, weighted_divdiff
 
 MIN_PART = "min"
 MAX_PART = "max"
-EXPLICIT = "explicit"
 
 
 @dataclass(frozen=True)
 class PivotPolicy:
     """Which part to remove at each recursion step.
 
-    The computed class is independent of this choice; alternative policies
-    exist to let tests exercise that independence.
+    The computed class is independent of this choice; `verify` checks every
+    removal order with class_via, one step per distinct part.
     """
 
     kind: str
-    sequence: tuple = ()
 
     @classmethod
     def min_part(cls):
@@ -48,10 +47,6 @@ class PivotPolicy:
     def max_part(cls):
         return cls(MAX_PART)
 
-    @classmethod
-    def explicit(cls, sequence):
-        return cls(EXPLICIT, tuple(int(p) for p in sequence))
-
 
 DEFAULT_POLICY = PivotPolicy.min_part()
 
@@ -59,8 +54,10 @@ DEFAULT_POLICY = PivotPolicy.min_part()
 class ClassCache:
     """Partition -> SchurClass, safe for concurrent readers.
 
-    Only classes of the partition's weight are stored; entries loaded from disk
-    are re-checked before reuse so a corrupt cache can never poison results.
+    Only classes of the partition's weight that are integral once scaled by
+    prod e_i! are stored.  Entries loaded from disk must also pass the
+    top-degree oracle, and a file is written whole or not at all.  An entry
+    that is wrong below its top d-degree still loads; `verify` re-derives it.
     """
 
     def __init__(self):
@@ -81,13 +78,21 @@ class ClassCache:
     # -- persistence -------------------------------------------------------
 
     def save(self, path):
+        """Write a sibling file and rename it over `path`, so a crash mid-write
+        leaves the old file intact."""
         doc = {
             key: class_to_json(cls, InputPartition.parse(key))
             for key, cls in sorted(self._data.items())
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh, indent=1, sort_keys=True)
+                fh.write("\n")
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
     @classmethod
     def load(cls, path):
@@ -103,6 +108,7 @@ class ClassCache:
                 loaded = class_from_json(payload)
                 if tuple(payload.get("partition", ())) != partition.parts:
                     raise ValueError("partition key/payload mismatch")
+                _check_top_degree(partition, loaded)
                 cache.put(partition, loaded)
             except (ValueError, KeyError, TypeError, ArithmeticError):
                 continue
@@ -117,6 +123,19 @@ def _validate_class(partition, schur_class):
     scale = factorial_of_multiplicities(partition)
     if any(scale % c.denominator for _, p in schur_class.items() for c in p.coeffs.values()):
         raise ValueError(f"class for {partition} times prod e_i! = {scale} is not integral")
+
+
+def _check_top_degree(partition, schur_class):
+    """Raise ValueError unless every coefficient has d-degree at most |lambda|
+    and prod e_i! times the d^|lambda| slice is the complete homogeneous class
+    of the reduction, as for the class of `partition`."""
+    weight = partition.weight
+    if any(coeff.degree > weight for _, coeff in schur_class.items()):
+        raise ValueError(f"class for {partition} has d-degree above {weight}")
+    scale = factorial_of_multiplicities(partition)
+    top = {rho: coeff.coefficient(weight) * scale for rho, coeff in schur_class.items()}
+    if SchurClass(schur_class.weight, top) != complete_homogeneous_class(partition.reduction):
+        raise ValueError(f"top d-degree slice of the class for {partition} is wrong")
 
 
 def class_to_json(schur_class, partition=None):
@@ -168,13 +187,11 @@ def recursion_step(y_prime, m):
     return shifted.map_coefficients(lambda p: dpoly_shift(p, -m))
 
 
-def _next_pivot(partition, policy, depth):
+def _next_pivot(partition, policy):
     if policy.kind == MIN_PART:
         return min(partition.parts)
     if policy.kind == MAX_PART:
         return max(partition.parts)
-    if policy.kind == EXPLICIT:
-        return policy.sequence[depth]
     raise ValueError(f"unknown pivot policy {policy.kind!r}")
 
 
@@ -185,22 +202,24 @@ def crs_class(partition, policy=DEFAULT_POLICY, cache=None):
     The result is independent of the pivot policy.  A cache may be shared
     across calls.
     """
-    if policy.kind == EXPLICIT and sorted(policy.sequence) != sorted(partition.parts):
-        raise ValueError("explicit pivot sequence must list exactly the parts of the partition")
-    if cache is None:
-        cache = ClassCache()
-    return _crs_class(partition, policy, cache, 0)
-
-
-def _crs_class(partition, policy, cache, depth):
     if partition.is_empty():
         return unit_class()
+    if cache is None:
+        cache = ClassCache()
     hit = cache.get(partition)
     if hit is not None:
         return hit
-    m = _next_pivot(partition, policy, depth)
-    smaller = partition.remove(m)
-    sub = _crs_class(smaller, policy, cache, depth + 1).scale(factorial_of_multiplicities(smaller))
-    result = recursion_step(sub, m).scale(Fraction(1, factorial_of_multiplicities(partition)))
+    result = class_via(partition, _next_pivot(partition, policy), cache, policy)
     cache.put(partition, result)
     return result
+
+
+def class_via(partition, m, cache, policy=DEFAULT_POLICY):
+    """The class of `partition` computed by removing the part m first.
+
+    One recursion step from the class of partition - (m), taken from `cache`
+    or computed under `policy` and cached.  The result itself is not cached.
+    """
+    smaller = partition.remove(m)
+    sub = crs_class(smaller, policy, cache).scale(factorial_of_multiplicities(smaller))
+    return recursion_step(sub, m).scale(Fraction(1, factorial_of_multiplicities(partition)))

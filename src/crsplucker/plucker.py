@@ -36,6 +36,19 @@ class PluckerFormula:
     formula: DPoly
     validity_floor: int  # = |lambda|; evaluation below it is refused
 
+    def count(self, d0):
+        """The exact number of lambda-lines for degree d0.
+
+        Refuses d0 below the validity floor: the identification of the
+        polynomial with the enumerative count only holds from there on.
+        """
+        if d0 < self.validity_floor:
+            raise BelowValidityFloor(d0, self.validity_floor)
+        value = dpoly_eval(self.formula, d0)
+        if value.denominator != 1 or value < 0:
+            raise ArithmeticError(f"Plucker value at d={d0} is not a nonnegative integer: {value}")
+        return int(value)
+
 
 @dataclass(frozen=True)
 class LeadingPrediction:
@@ -91,18 +104,20 @@ def predicted_leading(lam, j):
     return LeadingPrediction(lam.weight - overshoot, coeff, STIRLING, thr)
 
 
-def _row(lam, j, formula):
-    prediction = predicted_leading(lam, j)
-    got = (formula.degree, formula.leading_coefficient)
+def _formula(lam, j, cls):
+    """Formula j of lambda: the coefficient of s_(c-j, j) in its class."""
+    c = lam.codim
+    return PluckerFormula(lam, j, c - 2 * j, cls.coefficient(TwoRowPartition(c - j, j)), lam.weight)
+
+
+def _row(formula):
+    prediction = predicted_leading(formula.lam, formula.j)
+    got = (formula.formula.degree, formula.formula.leading_coefficient)
     want = (prediction.degree, prediction.coefficient)
     if got == want:
-        return PluckerRow(
-            PluckerFormula(lam, j, lam.codim - 2 * j, formula, lam.weight), prediction, True
-        )
+        return PluckerRow(formula, prediction, True)
     details = f"expected degree {want[0]} leading {want[1]}, got degree {got[0]} leading {got[1]}"
-    return PluckerRow(
-        PluckerFormula(lam, j, lam.codim - 2 * j, formula, lam.weight), prediction, False, details
-    )
+    return PluckerRow(formula, prediction, False, details)
 
 
 def plucker_formulas(lam, policy=DEFAULT_POLICY, cache=None):
@@ -111,9 +126,7 @@ def plucker_formulas(lam, policy=DEFAULT_POLICY, cache=None):
     if lam.is_empty():
         raise ValueError("the empty partition has no Plucker formulas")
     cls = crs_class(lam, policy, cache)
-    c = lam.codim
-    rows = tuple(_row(lam, j, cls.coefficient(TwoRowPartition(c - j, j))) for j in range(c // 2 + 1))
-    return PluckerTable(lam, rows)
+    return PluckerTable(lam, tuple(_row(_formula(lam, j, cls)) for j in range(lam.codim // 2 + 1)))
 
 
 def index_to_j(lam, codim_index):
@@ -128,19 +141,14 @@ def index_to_j(lam, codim_index):
 
 
 def plucker_value(lam, codim_index, d0, policy=DEFAULT_POLICY, cache=None):
-    """The exact number of lambda-lines for degree d0, from the extracted formula.
-
-    Refuses d0 below |lambda|: the identification of the polynomial with the
-    enumerative count only holds from there on.
-    """
+    """The exact number of lambda-lines for degree d0: PluckerFormula.count of
+    the one formula that index codim_index names, with no predictions."""
     j = index_to_j(lam, codim_index)
-    if d0 < lam.weight:
+    if d0 < lam.weight:  # refuse before computing the class
         raise BelowValidityFloor(d0, lam.weight)
-    table = plucker_formulas(lam, policy, cache)
-    value = dpoly_eval(table.rows[j].formula.formula, d0)
-    if value.denominator != 1 or value < 0:
-        raise ArithmeticError(f"Plucker value at d={d0} is not a nonnegative integer: {value}")
-    return int(value)
+    if lam.is_empty():
+        raise ValueError("the empty partition has no Plucker formulas")
+    return _formula(lam, j, crs_class(lam, policy, cache)).count(d0)
 
 
 def ym_class_closed_form(m):

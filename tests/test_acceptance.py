@@ -16,7 +16,7 @@ from crsplucker.combinat import (
     factorial_of_multiplicities,
     kostka_two_row,
 )
-from crsplucker.crs import crs_class, PivotPolicy
+from crsplucker.crs import ClassCache, class_via, crs_class, PivotPolicy
 from crsplucker.exactalg import DPoly, dpoly
 from crsplucker.plucker import (
     plucker_formulas,
@@ -127,17 +127,16 @@ def _kostka_via_h_product(mu, content):
 
 def test_7_structural_properties():
     start = time.monotonic()
-    policies = [PivotPolicy.min_part(), PivotPolicy.max_part()]
+    cache = ClassCache()
     for lam in enumerate_partitions_no_ones(12):
-        # Pivot independence; divisibility and polynomiality are asserted
+        # Pivot independence: min and max pivots from fresh caches, and one
+        # step per distinct part off a shared cache, which by induction covers
+        # every removal order.  Divisibility and polynomiality are asserted
         # inside every recursion step, so a clean run certifies both.
-        reference = crs_class(lam, policy=policies[0])
-        for policy in policies[1:]:
-            assert crs_class(lam, policy=policy) == reference
-        parts = sorted(lam.parts)
-        if len(set(parts)) > 1:
-            asc = PivotPolicy.explicit(tuple(parts))
-            assert crs_class(lam, policy=asc) == reference
+        reference = crs_class(lam, policy=PivotPolicy.min_part())
+        assert crs_class(lam, policy=PivotPolicy.max_part()) == reference
+        for m in set(lam.parts):
+            assert class_via(lam, m, cache) == reference, (lam, m)
 
         # Positive leading coefficients everywhere.
         for rho, coeff in reference.items():

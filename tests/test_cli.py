@@ -7,6 +7,8 @@ import pytest
 import crsplucker.crs
 import crsplucker.plucker
 from crsplucker.cli import main
+from crsplucker.combinat import InputPartition
+from crsplucker.crs import crs_class
 from crsplucker.exactalg import dpoly
 from crsplucker.symfunc import SchurClass
 
@@ -129,6 +131,28 @@ class TestVerifyCommand:
         assert code == 0
         assert "pivot-independence" in out
 
+    def test_pivots_accepted_and_ignored(self, capsys):
+        plain = run(capsys, "verify", "--max-weight", "6")
+        assert run(capsys, "verify", "--max-weight", "6", "--pivots", "min") == plain
+        assert run(capsys, "verify", "--max-weight", "6", "--pivots", "all") == plain
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--max-weight", "6", "--pivots", "bogus"])
+        assert exc.value.code == 2
+
+    def test_fault_only_a_middle_removal_order_reaches(self, capsys, monkeypatch):
+        # (4,2) + (3) is reached only when (4,3,2) removes its 3 first
+        real = crsplucker.crs.recursion_step
+        four_two = crs_class(InputPartition((4, 2)))
+
+        def broken(y_prime, m):
+            result = real(y_prime, m)
+            return result.scale(2) if m == 3 and y_prime == four_two else result
+
+        monkeypatch.setattr(crsplucker.crs, "recursion_step", broken)
+        code, _, err = run(capsys, "verify", "--max-weight", "9")
+        assert code == 1
+        assert "(4,3,2)" in err and "pivot-independence" in err
+
     def test_json_report(self, capsys):
         code, out, _ = run(capsys, "verify", "--max-weight", "5", "--format", "json")
         doc = json.loads(out)
@@ -178,6 +202,27 @@ class TestCacheFile:
         self._tamper_two_two(capsys, path, lambda c: str(Fraction(c) / 4))
         code, out, _ = run(capsys, "--cache", str(path), "plucker", "2,2", "--codim", "0", "--eval", "4")
         assert (code, out.strip()) == (0, "28")
+
+    def test_wrong_top_degree_entry_recomputed(self, capsys, tmp_path):
+        # every coefficient doubled: well-formed and integral, but the top d-degree slice is wrong
+        path = tmp_path / "classes.json"
+        self._tamper_two_two(capsys, path, lambda c: str(Fraction(c) * 2))
+        code, out, _ = run(capsys, "--cache", str(path), "plucker", "2,2", "--codim", "0", "--eval", "4")
+        assert (code, out.strip()) == (0, "28")
+
+    def test_wrong_lower_coefficient_fails_verify(self, capsys, tmp_path):
+        # +1 on the d^0 coefficient of s_(2,0): integral, same top slice and
+        # leading terms, so the entry loads; only re-deriving the class catches it
+        path = tmp_path / "classes.json"
+        run(capsys, "--cache", str(path), "plucker", "2,2")
+        doc = json.loads(path.read_text())
+        assert doc["2,2"]["terms"][0]["rho"] == [2, 0]
+        coeff = doc["2,2"]["terms"][0]["coeff"]
+        coeff[0] = str(Fraction(coeff[0]) + 1)
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "--cache", str(path), "verify", "--max-weight", "4")
+        assert code == 1
+        assert "(2,2)" in err and "pivot-independence" in err
 
     @pytest.mark.parametrize("bad", ["1/0", float("inf")], ids=["zero-denominator", "infinity"])
     def test_damaged_value_recomputed(self, capsys, tmp_path, bad):

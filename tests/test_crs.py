@@ -15,6 +15,7 @@ from crsplucker.crs import (
     PivotPolicy,
     class_from_json,
     class_to_json,
+    class_via,
     crs_class,
     divide_by_d_power,
     recursion_step,
@@ -121,14 +122,13 @@ class TestGoldenOutput:
 
 class TestStructuralProperties:
     def test_pivot_independence_up_to_weight_10(self):
+        # one step per distinct part; by induction every removal order agrees
+        cache = ClassCache()
         for lam in enumerate_partitions_no_ones(10):
-            reference = crs_class(lam, PivotPolicy.min_part(), ClassCache())
-            for policy in (
-                PivotPolicy.max_part(),
-                PivotPolicy.explicit(sorted(lam.parts)),
-                PivotPolicy.explicit(sorted(lam.parts, reverse=True)),
-            ):
-                assert crs_class(lam, policy, ClassCache()) == reference, (lam, policy)
+            reference = crs_class(lam, cache=cache)
+            for m in set(lam.parts):
+                assert class_via(lam, m, cache) == reference, (lam, m)
+            assert crs_class(lam, PivotPolicy.max_part(), ClassCache()) == reference, lam
 
     def test_closed_form_oracle(self):
         for m in range(2, 13):
@@ -227,6 +227,43 @@ class TestCache:
         for entry in doc["terms"]:
             assert set(entry) == {"rho", "coeff"}
         assert class_from_json(doc) == cls
+
+    def test_damaged_top_degree_dropped(self, tmp_path):
+        cache = ClassCache()
+        for lam in enumerate_partitions_no_ones(6):
+            crs_class(lam, cache=cache)
+        path = tmp_path / "cache.json"
+        cache.save(path)
+        doc = json.loads(path.read_text())
+        doc["3"]["terms"][0]["coeff"] += ["0", "1"]  # d-degree 5 > |lambda| = 3
+        doc["4"]["terms"][0]["coeff"][-1] = "2"  # top slice 2 s_(3,0), not h_3 = s_(3,0)
+        path.write_text(json.dumps(doc))
+        loaded = ClassCache.load(path)
+        assert len(loaded) == len(cache) - 2
+        assert loaded.get(InputPartition((3,))) is None
+        assert loaded.get(InputPartition((4,))) is None
+
+    def test_failed_save_keeps_old_file(self, tmp_path, monkeypatch):
+        cache = ClassCache()
+        for lam in enumerate_partitions_no_ones(8):
+            crs_class(lam, cache=cache)
+        path = tmp_path / "cache.json"
+        cache.save(path)
+        crs_class(InputPartition((9,)), cache=cache)
+
+        def crash(doc, fh, **kwargs):
+            fh.write("{")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(crsplucker.crs.json, "dump", crash)
+        with pytest.raises(OSError):
+            cache.save(path)
+        monkeypatch.undo()
+        loaded = ClassCache.load(path)
+        assert len(loaded) == len(cache) - 1
+        for lam in enumerate_partitions_no_ones(8):
+            assert loaded.get(lam) == cache.get(lam)
+        assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
 
     def test_memoization_shares_subpartitions(self):
         cache = ClassCache()

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import crsplucker.plucker
 from crsplucker.combinat import InputPartition, enumerate_partitions_no_ones
 from crsplucker.crs import ClassCache
 from crsplucker.errors import BadIndex, BelowValidityFloor, OutOfRange
@@ -42,6 +43,17 @@ class TestFormulas:
 class TestValues:
     def test_quartic_bitangents(self):
         assert plucker_value(InputPartition((2, 2)), 0, 4) == 28
+
+    def test_value_needs_no_prediction(self, monkeypatch):
+        def unused(lam, j):
+            raise AssertionError("plucker_value computed a leading-term prediction")
+
+        monkeypatch.setattr(crsplucker.plucker, "predicted_leading", unused)
+        assert plucker_value(InputPartition((2, 2)), 0, 4) == 28
+
+    def test_empty_partition_rejected(self):
+        with pytest.raises(ValueError):
+            plucker_value(InputPartition(()), 0, 0)
 
     def test_dual_curve_degree(self):
         assert plucker_value(InputPartition((2,)), 1, 3) == 6
