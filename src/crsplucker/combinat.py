@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import OutOfRange, WeightMismatch
-from .symfunc import SchurClass, TwoRowPartition, class_product, unit_class
+from .symfunc import SchurClass, TwoRowPartition
 
 
 @dataclass(frozen=True)
@@ -165,17 +165,21 @@ def complete_homogeneous_class(nu):
     {a, b}, expanded in the Schur basis; h_i = s_(i,0).
 
     Expansion coefficients are the two-row Kostka numbers for content nu.
+    They are built by the Pieri rule on one list of ints: coeffs[r2] is the
+    coefficient of s_(w-r2, r2), and multiplying by h_k adds it to every
+    s_(w+k-v, v) with r2 <= v <= min(r2+k, w-r2).
     """
-    result = unit_class()
+    weight, coeffs = 0, [1]
     for part in nu:
-        part = int(part)
-        if part < 0:
+        k = int(part)
+        if k < 0:
             raise ValueError("parts must be nonnegative")
-        if part == 0:
-            continue
-        h = SchurClass(part, {TwoRowPartition(part, 0): 1})
-        result = class_product(result, h)
-    return result
+        product = [0] * ((weight + k) // 2 + 1)
+        for r2, c in enumerate(coeffs):
+            for v in range(r2, min(r2 + k, weight - r2) + 1):
+                product[v] += c
+        weight, coeffs = weight + k, product
+    return SchurClass(weight, {TwoRowPartition(weight - r2, r2): c for r2, c in enumerate(coeffs)})
 
 
 def factorial_of_multiplicities(partition):

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -52,7 +51,7 @@ DEFAULT_POLICY = PivotPolicy.min_part()
 
 
 class ClassCache:
-    """Partition -> SchurClass, safe for concurrent readers.
+    """Partition -> SchurClass, for use from one thread at a time.
 
     Only classes of the partition's weight that are integral once scaled by
     prod e_i! are stored.  Entries loaded from disk must also pass the
@@ -62,15 +61,17 @@ class ClassCache:
 
     def __init__(self):
         self._data = {}
-        self._lock = threading.Lock()
+        # True while the entries are exactly those of the file `load` read:
+        # every key kept and nothing put since, so saving would change nothing.
+        self._as_loaded = False
 
     def get(self, partition):
         return self._data.get(partition.canonical_string())
 
     def put(self, partition, schur_class):
         _validate_class(partition, schur_class)
-        with self._lock:
-            self._data[partition.canonical_string()] = schur_class
+        self._data[partition.canonical_string()] = schur_class
+        self._as_loaded = False
 
     def __len__(self):
         return len(self._data)
@@ -112,6 +113,7 @@ class ClassCache:
                 cache.put(partition, loaded)
             except (ValueError, KeyError, TypeError, ArithmeticError):
                 continue
+        cache._as_loaded = cache._data.keys() == doc.keys()
         return cache
 
 

@@ -137,7 +137,7 @@ def dpoly_shift(p, delta):
 
 def format_rat(r):
     """Canonical "num/den" text for a rational ("num" when den = 1)."""
-    return str(Fraction(r))
+    return str(r) if type(r) is int else str(Fraction(r))
 
 
 def dpoly_to_coeff_strings(p):
@@ -148,7 +148,16 @@ def dpoly_to_coeff_strings(p):
 
 
 def dpoly_from_coeff_strings(strings):
-    return DPoly({e: Fraction(s) for e, s in enumerate(strings)})
+    """The DPoly whose coefficients, from exponent 0 upward, are `strings`.
+
+    An optionally negated string of decimal digits is read with int(), which
+    gives the value Fraction() would, much faster.  Every other entry goes
+    through Fraction(), so what is accepted and what raises is decided there.
+    """
+    return DPoly({
+        e: int(s) if isinstance(s, str) and s.removeprefix("-").isdecimal() else Fraction(s)
+        for e, s in enumerate(strings)
+    })
 
 
 def format_dpoly(p, var="d"):

@@ -6,9 +6,9 @@ import pytest
 
 import crsplucker.crs
 import crsplucker.plucker
-from crsplucker.cli import main
+from crsplucker.cli import main, run_verification
 from crsplucker.combinat import InputPartition
-from crsplucker.crs import crs_class
+from crsplucker.crs import ClassCache, crs_class
 from crsplucker.exactalg import dpoly
 from crsplucker.symfunc import SchurClass
 
@@ -106,6 +106,11 @@ class TestPluckerCommand:
         assert code == 2
         assert err
 
+    def test_negative_index_exits_2(self, capsys):
+        code, _, err = run(capsys, "plucker", "2,2", "--codim", "-2")
+        assert code == 2
+        assert err
+
     def test_below_floor_exits_4(self, capsys):
         code, _, err = run(capsys, "plucker", "2,2", "--codim", "0", "--eval", "3")
         assert code == 4
@@ -152,6 +157,24 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "--max-weight", "9")
         assert code == 1
         assert "(4,3,2)" in err and "pivot-independence" in err
+
+    def test_step_just_taken_is_not_repeated(self, monkeypatch):
+        # 76 partitions, 139 distinct parts: cold computes each class along its
+        # smallest part and checks the other parts, warm re-derives every part
+        calls = []
+        real = crsplucker.crs.recursion_step
+
+        def counting(y_prime, m):
+            calls.append(m)
+            return real(y_prime, m)
+
+        monkeypatch.setattr(crsplucker.crs, "recursion_step", counting)
+        cache = ClassCache()
+        run_verification(12, cache)
+        assert len(calls) == 139
+        calls.clear()
+        run_verification(12, cache)
+        assert len(calls) == 139
 
     def test_json_report(self, capsys):
         code, out, _ = run(capsys, "verify", "--max-weight", "5", "--format", "json")
@@ -240,6 +263,28 @@ class TestCacheFile:
         assert (code, out.strip()) == (0, "28")
         assert len(err.strip().splitlines()) == 1 and "warning" in err
         assert "2,2" in json.loads(path.read_text())
+
+    def test_unchanged_file_not_rewritten(self, capsys, tmp_path):
+        path = tmp_path / "classes.json"
+        run(capsys, "--cache", str(path), "class", "4,2")
+        before = path.stat()
+        code, _, _ = run(capsys, "--cache", str(path), "class", "4,2")
+        assert code == 0
+        after = path.stat()
+        assert (after.st_mtime_ns, after.st_ino) == (before.st_mtime_ns, before.st_ino)
+
+    def test_file_with_damaged_entry_rewritten(self, capsys, tmp_path):
+        path = tmp_path / "classes.json"
+        run(capsys, "--cache", str(path), "class", "4,2")
+        good = json.loads(path.read_text())
+        damaged = json.loads(path.read_text())
+        damaged["4,2"]["codim"] = 5
+        path.write_text(json.dumps(damaged))
+        before = path.stat()
+        code, _, _ = run(capsys, "--cache", str(path), "class", "4,2")
+        assert code == 0
+        assert path.stat().st_ino != before.st_ino
+        assert json.loads(path.read_text()) == good
 
     def test_env_var_default(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "env_cache.json"

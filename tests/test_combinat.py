@@ -12,7 +12,7 @@ from crsplucker.combinat import (
     stirling_first,
 )
 from crsplucker.errors import OutOfRange, WeightMismatch
-from crsplucker.symfunc import TwoRowPartition
+from crsplucker.symfunc import SchurClass, TwoRowPartition, class_product, unit_class
 
 from monomial_oracle import all_two_row
 
@@ -26,6 +26,14 @@ def brute_force_partitions(max_weight):
                 if sum(combo) == w:
                     found.add(tuple(sorted(combo, reverse=True)))
     return found
+
+
+def contents(w):
+    """Every partition of w into positive parts, largest part first."""
+    from sympy.utilities.iterables import partitions as sym_partitions
+
+    for mult in sym_partitions(w):
+        yield tuple(sorted((k for k, e in mult.items() for _ in range(e)), reverse=True))
 
 
 class TestInputPartition:
@@ -85,28 +93,22 @@ class TestKostka:
         with pytest.raises(WeightMismatch):
             kostka_two_row((2, 1), (2, 2))
 
+    def test_zero_content_entry_rejected(self):
+        with pytest.raises(ValueError):
+            kostka_two_row((2, 0), (2, 0))
+
     def test_equals_h_expansion_up_to_weight_14(self):
         # two independent computations of the same number
-        from sympy.utilities.iterables import partitions as sym_partitions
-
         for w in range(1, 15):
-            for mult in sym_partitions(w):
-                content = tuple(
-                    sorted((k for k, e in mult.items() for _ in range(e)), reverse=True)
-                )
+            for content in contents(w):
                 h = complete_homogeneous_class(content)
                 for shape in all_two_row(w):
                     coeff = h.coefficient(shape).coefficient(0)
                     assert coeff == kostka_two_row(shape, content), (shape, content)
 
     def test_vanishing_agrees_with_count(self):
-        from sympy.utilities.iterables import partitions as sym_partitions
-
         for w in range(1, 15):
-            for mult in sym_partitions(w):
-                content = tuple(
-                    sorted((k for k, e in mult.items() for _ in range(e)), reverse=True)
-                )
+            for content in contents(w):
                 for shape in all_two_row(w):
                     vanish = kostka_vanishing(TwoRowPartition(*shape), content)
                     assert vanish == (kostka_two_row(shape, content) == 0), (shape, content)
@@ -162,3 +164,19 @@ class TestCompleteHomogeneous:
             (3, 0): 1,
             (2, 1): 1,
         }
+
+    def test_zero_part_is_one_and_negative_part_rejected(self):
+        assert complete_homogeneous_class((2, 0)) == SchurClass(2, {TwoRowPartition(2, 0): 1})
+        with pytest.raises(ValueError):
+            complete_homogeneous_class((2, -1))
+
+    def test_equals_class_product_fold_up_to_weight_14(self):
+        def product_fold(nu):  # the expansion as a product of classes, h_i = s_(i,0)
+            result = unit_class()
+            for part in nu:
+                result = class_product(result, SchurClass(part, {TwoRowPartition(part, 0): 1}))
+            return result
+
+        for w in range(15):
+            for nu in contents(w):
+                assert complete_homogeneous_class(nu) == product_fold(nu), nu

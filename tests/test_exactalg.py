@@ -47,6 +47,9 @@ class TestBasics:
         with pytest.raises(ValueError):
             DPoly({-1: 1})
 
+    def test_sub_with_exponent_missing_on_the_left(self):
+        assert dpoly(1) - DPoly({2: 3}) == DPoly({0: 1, 2: -3})
+
 
 class TestEval:
     def test_example_d_squared_minus_d(self):
@@ -108,11 +111,28 @@ class TestRendering:
     def test_rat_strings(self):
         assert format_rat(Fraction(3)) == "3"
         assert format_rat(Fraction(-1, 2)) == "-1/2"
+        assert format_rat(-12) == "-12"
 
     def test_coeff_strings(self):
         p = dpoly(0, Fraction(-1, 2), 1)
         assert dpoly_to_coeff_strings(p) == ["0", "-1/2", "1"]
         assert dpoly_to_coeff_strings(DPoly()) == []
+
+    @pytest.mark.parametrize(
+        "text",
+        ["0", "-0", "007", "-12", "+5", " 5", "1/2", "-3/6", "1.5", "--5", "\u0663", 3, 1.5, None],
+    )
+    def test_parse_agrees_with_fraction(self, text):
+        # int() reads plain decimal strings; everything must come out as Fraction() has it
+        try:
+            want = DPoly({0: Fraction(text), 1: 1})
+        except Exception as exc:
+            with pytest.raises(type(exc)):
+                dpoly_from_coeff_strings([text, "1"])
+        else:
+            got = dpoly_from_coeff_strings([text, "1"])
+            assert got == want
+            assert type(got.coefficient(0)) is type(want.coefficient(0))
 
     @given(polys())
     def test_bit_exact_roundtrip(self, p):

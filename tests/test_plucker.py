@@ -6,10 +6,11 @@ import crsplucker.plucker
 from crsplucker.combinat import InputPartition, enumerate_partitions_no_ones
 from crsplucker.crs import ClassCache
 from crsplucker.errors import BadIndex, BelowValidityFloor, OutOfRange
-from crsplucker.exactalg import dpoly, dpoly_eval
+from crsplucker.exactalg import DPoly, dpoly, dpoly_eval
 from crsplucker.plucker import (
     KOSTKA,
     STIRLING,
+    PluckerFormula,
     plucker_formulas,
     plucker_value,
     predicted_leading,
@@ -69,6 +70,11 @@ class TestValues:
     def test_bad_range(self):
         with pytest.raises(BadIndex):
             plucker_value(InputPartition((2, 2)), 4, 5)
+
+    def test_zero_formula_counts_zero(self):
+        # no real formula at weight <= 18 is 0 at d0 = |lambda|, so build one
+        lam = InputPartition((2, 2))
+        assert PluckerFormula(lam, 0, 2, DPoly(), lam.weight).count(lam.weight) == 0
 
     def test_integrality_sweep(self):
         cache = ClassCache()
