@@ -17,19 +17,13 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .combinat import InputPartition, enumerate_partitions_no_ones
-from .crs import ClassCache, PivotPolicy, class_to_json, class_via, crs_class
+from .crs import ClassCache, PivotPolicy, check_top_degree, class_to_json, class_via, crs_class
 from .errors import BadIndex, BelowValidityFloor, DivisibilityViolation
-from .exactalg import format_dpoly, format_rat
-from .plucker import (
-    plucker_formulas,
-    plucker_value,
-    top_degree_class,
-    top_degree_slice,
-    ym_class_closed_form,
-)
+from .exactalg import dpoly_to_coeff_strings, format_dpoly, format_rat
+from .plucker import index_to_j, plucker_formulas, plucker_value, ym_class_closed_form
 
 CACHE_ENV_VAR = "CRS_PLUCKER_CACHE"
 
@@ -88,8 +82,6 @@ def render_table_plain(table):
 
 
 def render_table_json(table):
-    from .exactalg import dpoly_to_coeff_strings
-
     return {
         "partition": list(table.lam.parts),
         "codim": table.lam.codim,
@@ -132,8 +124,7 @@ def open_cache(path):
 
 
 def save_cache(cache, path):
-    """Write the cache to `path`, unless it holds exactly what it loaded from there."""
-    if path and not cache._as_loaded:
+    if path:
         cache.save(path)
 
 
@@ -144,11 +135,7 @@ def save_cache(cache, path):
 class CheckResult:
     name: str
     passed: int = 0
-    failures: list = None
-
-    def __post_init__(self):
-        if self.failures is None:
-            self.failures = []
+    failures: list = field(default_factory=list)
 
     def record(self, ok, witness):
         if ok:
@@ -196,10 +183,14 @@ def run_verification(max_weight, cache=None):
                 cls == expected, (str(lam), "closed-form-single-part", repr(expected), repr(cls))
             )
 
-        # top d-degree slice
-        want = top_degree_class(lam)
-        got = top_degree_slice(cls, lam.weight)
-        top_degree.record(got == want, (str(lam), "top-degree", repr(want), repr(got)))
+        # top d-degree: nothing above d^|lambda|, and the d^|lambda| slice
+        try:
+            check_top_degree(lam, cls)
+            problem = None
+        except ValueError as exc:
+            problem = str(exc)
+        want = "d-degree <= |lambda| and top slice top_degree_class"
+        top_degree.record(problem is None, (str(lam), "top-degree", want, problem))
 
         # leading terms of every formula
         table = plucker_formulas(lam, cache=cache)
@@ -245,8 +236,6 @@ def cmd_plucker(args):
     table = plucker_formulas(lam, cache=cache)
     save_cache(cache, args.cache)
     if args.codim is not None:
-        from .plucker import index_to_j
-
         j = index_to_j(lam, args.codim)
         table = type(table)(table.lam, (table.rows[j],))
     elif args.eval is not None:
@@ -319,8 +308,6 @@ def build_parser():
     p_pl = sub.add_parser("plucker", help="Plucker formulas and values")
     p_pl.add_argument("partition")
     p_pl.add_argument("--codim", type=int, default=None, help="codimension index c - 2j")
-    # every row is printed by default; --all stays accepted for old scripts
-    p_pl.add_argument("--all", action="store_true", help=argparse.SUPPRESS)
     p_pl.add_argument("--eval", type=int, default=None, metavar="D0", help="evaluate at degree D0")
     p_pl.add_argument("--format", choices=["plain", "json", "latex"], default="plain")
     p_pl.set_defaults(func=cmd_plucker)

@@ -137,18 +137,6 @@ def kostka_two_row(shape, content):
     return _ssyt_count(shape.r1, shape.r2, tuple(sorted(content, reverse=True)))
 
 
-def kostka_vanishing(shape, reduction):
-    """Closed-form vanishing test: the Kostka number for a two-row shape and
-    content `reduction` vanishes exactly when r1 < max(reduction)."""
-    shape = TwoRowPartition(*shape)
-    reduction = tuple(reduction)
-    if sum(reduction) != shape.weight:
-        raise WeightMismatch(f"content weight {sum(reduction)} != shape weight {shape.weight}")
-    if not reduction:
-        return False
-    return shape.r1 < max(reduction)
-
-
 def stirling_first(m, k):
     """Unsigned Stirling number of the first kind, sigma_k(1, 2, ..., m-1)."""
     if m < 1 or k < 0 or k > m - 1:

@@ -61,9 +61,9 @@ class ClassCache:
 
     def __init__(self):
         self._data = {}
-        # True while the entries are exactly those of the file `load` read:
-        # every key kept and nothing put since, so saving would change nothing.
-        self._as_loaded = False
+        # Path of the file `load` read, kept only while the entries are exactly
+        # its entries (every key kept, nothing put since): saving there is a no-op.
+        self._loaded_from = None
 
     def get(self, partition):
         return self._data.get(partition.canonical_string())
@@ -71,7 +71,7 @@ class ClassCache:
     def put(self, partition, schur_class):
         _validate_class(partition, schur_class)
         self._data[partition.canonical_string()] = schur_class
-        self._as_loaded = False
+        self._loaded_from = None
 
     def __len__(self):
         return len(self._data)
@@ -80,7 +80,10 @@ class ClassCache:
 
     def save(self, path):
         """Write a sibling file and rename it over `path`, so a crash mid-write
-        leaves the old file intact."""
+        leaves the old file intact.  Saving back to the file `load` read, with
+        nothing changed since, writes nothing."""
+        if os.fspath(path) == self._loaded_from:
+            return
         doc = {
             key: class_to_json(cls, InputPartition.parse(key))
             for key, cls in sorted(self._data.items())
@@ -109,11 +112,12 @@ class ClassCache:
                 loaded = class_from_json(payload)
                 if tuple(payload.get("partition", ())) != partition.parts:
                     raise ValueError("partition key/payload mismatch")
-                _check_top_degree(partition, loaded)
+                check_top_degree(partition, loaded)
                 cache.put(partition, loaded)
             except (ValueError, KeyError, TypeError, ArithmeticError):
                 continue
-        cache._as_loaded = cache._data.keys() == doc.keys()
+        if cache._data.keys() == doc.keys():
+            cache._loaded_from = os.fspath(path)
         return cache
 
 
@@ -127,16 +131,31 @@ def _validate_class(partition, schur_class):
         raise ValueError(f"class for {partition} times prod e_i! = {scale} is not integral")
 
 
-def _check_top_degree(partition, schur_class):
+def top_degree_class(lam):
+    """The coefficient of d^|lambda| of the whole class: (1/prod e_i!) times
+    the complete homogeneous class of the reduction."""
+    if lam.is_empty():
+        raise ValueError("requires a nonempty partition")
+    scale = Fraction(1, factorial_of_multiplicities(lam))
+    return complete_homogeneous_class(lam.reduction).scale(scale)
+
+
+def top_degree_slice(schur_class, degree):
+    """The indicated d-degree slice of a class, as constant coefficients."""
+    return SchurClass(
+        schur_class.weight,
+        {rho: coeff.coefficient(degree) for rho, coeff in schur_class.items()},
+    )
+
+
+def check_top_degree(partition, schur_class):
     """Raise ValueError unless every coefficient has d-degree at most |lambda|
-    and prod e_i! times the d^|lambda| slice is the complete homogeneous class
-    of the reduction, as for the class of `partition`."""
+    and the d^|lambda| slice is top_degree_class, as for the class of
+    `partition`."""
     weight = partition.weight
     if any(coeff.degree > weight for _, coeff in schur_class.items()):
         raise ValueError(f"class for {partition} has d-degree above {weight}")
-    scale = factorial_of_multiplicities(partition)
-    top = {rho: coeff.coefficient(weight) * scale for rho, coeff in schur_class.items()}
-    if SchurClass(schur_class.weight, top) != complete_homogeneous_class(partition.reduction):
+    if top_degree_slice(schur_class, weight) != top_degree_class(partition):
         raise ValueError(f"top d-degree slice of the class for {partition} is wrong")
 
 

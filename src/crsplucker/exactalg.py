@@ -49,10 +49,10 @@ class DPoly:
 
     @property
     def leading_coefficient(self):
-        return self._coeffs[max(self._coeffs)] if self._coeffs else Fraction(0)
+        return self._coeffs[max(self._coeffs)] if self._coeffs else 0
 
     def coefficient(self, exponent):
-        return self._coeffs.get(exponent, Fraction(0))
+        return self._coeffs.get(exponent, 0)
 
     # -- ring operations --------------------------------------------------
 

@@ -11,15 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
-from .combinat import (
-    InputPartition,
-    complete_homogeneous_class,
-    factorial_of_multiplicities,
-    kostka_two_row,
-    stirling_first,
-)
-from .crs import DEFAULT_POLICY, crs_class
+from .combinat import InputPartition, factorial_of_multiplicities, kostka_two_row, stirling_first
+# top_degree_class and top_degree_slice are the cache's oracle, kept importable here
+from .crs import crs_class, top_degree_class, top_degree_slice
 from .errors import BadIndex, BelowValidityFloor, OutOfRange
 from .exactalg import DPoly, dpoly_eval
 from .symfunc import SchurClass, TwoRowPartition
@@ -120,12 +116,12 @@ def _row(formula):
     return PluckerRow(formula, prediction, False, details)
 
 
-def plucker_formulas(lam, policy=DEFAULT_POLICY, cache=None):
+def plucker_formulas(lam, cache=None):
     """Extract every Schur coefficient of the class of lambda as a formula
     row, with its leading-term prediction and verdict attached."""
     if lam.is_empty():
         raise ValueError("the empty partition has no Plucker formulas")
-    cls = crs_class(lam, policy, cache)
+    cls = crs_class(lam, cache=cache)
     return PluckerTable(lam, tuple(_row(_formula(lam, j, cls)) for j in range(lam.codim // 2 + 1)))
 
 
@@ -140,7 +136,7 @@ def index_to_j(lam, codim_index):
     return j
 
 
-def plucker_value(lam, codim_index, d0, policy=DEFAULT_POLICY, cache=None):
+def plucker_value(lam, codim_index, d0, cache=None):
     """The exact number of lambda-lines for degree d0: PluckerFormula.count of
     the one formula that index codim_index names, with no predictions."""
     j = index_to_j(lam, codim_index)
@@ -148,15 +144,13 @@ def plucker_value(lam, codim_index, d0, policy=DEFAULT_POLICY, cache=None):
         raise BelowValidityFloor(d0, lam.weight)
     if lam.is_empty():
         raise ValueError("the empty partition has no Plucker formulas")
-    return _formula(lam, j, crs_class(lam, policy, cache)).count(d0)
+    return _formula(lam, j, crs_class(lam, cache=cache)).count(d0)
 
 
 def ym_class_closed_form(m):
     """The class of a single part (m), assembled coefficient by coefficient
     from the closed form: the d^(m-k) coefficient of s_(m-1-i, i) is a signed
     binomial multiple of the Stirling number sigma_k(1, ..., m-1)."""
-    from math import comb
-
     if m < 2:
         raise ValueError("m must be at least 2")
     terms = {}
@@ -172,20 +166,3 @@ def ym_class_closed_form(m):
             coeffs[m - k] = c
         terms[TwoRowPartition(m - 1 - i, i)] = DPoly(coeffs)
     return SchurClass(m - 1, terms)
-
-
-def top_degree_class(lam):
-    """The coefficient of d^|lambda| of the whole class: (1/prod e_i!) times
-    the complete homogeneous class of the reduction."""
-    if lam.is_empty():
-        raise ValueError("requires a nonempty partition")
-    scale = Fraction(1, factorial_of_multiplicities(lam))
-    return complete_homogeneous_class(lam.reduction).scale(scale)
-
-
-def top_degree_slice(schur_class, degree):
-    """The indicated d-degree slice of a class, as constant coefficients."""
-    return SchurClass(
-        schur_class.weight,
-        {rho: coeff.coefficient(degree) for rho, coeff in schur_class.items()},
-    )

@@ -23,19 +23,11 @@ class TwoRowPartition(NamedTuple):
     def weight(self):
         return self.r1 + self.r2
 
-    @property
-    def pi2(self):
-        return self.r2
-
-    def is_valid(self):
-        return self.r1 >= self.r2 >= 0
-
 
 def two_row(r1, r2):
-    rho = TwoRowPartition(r1, r2)
-    if not rho.is_valid():
+    if not r1 >= r2 >= 0:
         raise ValueError(f"not a two-row partition: ({r1}, {r2})")
-    return rho
+    return TwoRowPartition(r1, r2)
 
 
 class SchurClass:
@@ -63,11 +55,8 @@ class SchurClass:
         return self._terms.get(TwoRowPartition(*rho), DPoly())
 
     def items(self):
-        """Terms in deterministic order: pi2 ascending."""
-        return sorted(self._terms.items(), key=lambda kv: kv[0].pi2)
-
-    def partitions(self):
-        return [rho for rho, _ in self.items()]
+        """Terms in deterministic order: r2 ascending."""
+        return sorted(self._terms.items(), key=lambda kv: kv[0].r2)
 
     def is_zero(self):
         return not self._terms
@@ -222,11 +211,7 @@ def weighted_divdiff(t, m):
     e = linear_factor_expansion(m)
     terms = {}
     for f in range(1, m + 1):
-        if e[f].is_zero():
-            continue
         sign, rho = monomial_divdiff(t + m - f, f)
-        if sign == 0:
-            continue
-        contrib = e[f] if sign > 0 else -e[f]
-        terms[rho] = terms.get(rho, DPoly()) + contrib
+        if sign:
+            terms[rho] = terms.get(rho, DPoly()) + e[f] * sign
     return SchurClass(m - 1 + t, terms)

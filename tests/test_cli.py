@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+import crsplucker.cli
 import crsplucker.crs
 import crsplucker.plucker
 from crsplucker.cli import main, run_verification
 from crsplucker.combinat import InputPartition
 from crsplucker.crs import ClassCache, crs_class
-from crsplucker.exactalg import dpoly
+from crsplucker.exactalg import DPoly, dpoly
 from crsplucker.symfunc import SchurClass
 
 
@@ -58,7 +59,7 @@ class TestClassCommand:
             buckets = real(schur_class)
             if len(buckets) > 1:
                 b_1 = buckets[1]
-                buckets[1] = SchurClass(b_1.weight, {rho: dpoly(1) for rho in b_1.partitions()})
+                buckets[1] = SchurClass(b_1.weight, {rho: dpoly(1) for rho, _ in b_1.items()})
             return buckets
 
         monkeypatch.setattr(crsplucker.crs, "split_shift", broken)
@@ -79,11 +80,16 @@ class TestPluckerCommand:
         assert out.strip() == "28"
 
     def test_all_rows(self, capsys):
-        code, out, _ = run(capsys, "plucker", "3", "--all")
+        code, out, _ = run(capsys, "plucker", "3")
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0].startswith("Pl[3;2] = d^3 - 3*d^2 + 2*d")
         assert lines[1].startswith("Pl[3;0] = 3*d^2 - 6*d")
+
+    def test_all_flag_rejected(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["plucker", "3", "--all"])
+        assert exc.value.code == 2
 
     def test_mismatch_exits_1(self, capsys, monkeypatch):
         real = crsplucker.plucker.predicted_leading
@@ -182,6 +188,22 @@ class TestVerifyCommand:
         assert code == 0
         assert {c["name"] for c in doc["checks"]} >= {"pivot-independence", "leading-term"}
         assert all(c["failed"] == 0 for c in doc["checks"])
+
+    def test_degree_above_weight_fails_top_degree(self, capsys, monkeypatch):
+        # d^5 * s_(2,0) on the class of (2,2): the d^4 slice is still right,
+        # but no coefficient may have d-degree above |lambda| = 4
+        real = crsplucker.cli.crs_class
+        extra = SchurClass(2, {(2, 0): DPoly({5: 1})})
+
+        def padded(lam, *args, **kwargs):
+            cls = real(lam, *args, **kwargs)
+            return cls + extra if lam.parts == (2, 2) else cls
+
+        monkeypatch.setattr(crsplucker.cli, "crs_class", padded)
+        code, out, _ = run(capsys, "verify", "--max-weight", "4", "--format", "json")
+        assert code == 1
+        checks = {c["name"]: c["failed"] for c in json.loads(out)["checks"]}
+        assert checks["top-degree"] == 1
 
     def test_max_weight_too_small(self, capsys):
         code, _, err = run(capsys, "verify", "--max-weight", "1")

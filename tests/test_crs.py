@@ -265,6 +265,24 @@ class TestCache:
             assert loaded.get(lam) == cache.get(lam)
         assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
 
+    def test_save_to_loaded_file_writes_only_after_a_change(self, tmp_path):
+        cache = ClassCache()
+        for lam in enumerate_partitions_no_ones(6):
+            crs_class(lam, cache=cache)
+        path, other = tmp_path / "cache.json", tmp_path / "other.json"
+        cache.save(path)
+        before = path.stat()
+        loaded = ClassCache.load(path)
+        loaded.save(path)
+        after = path.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        loaded.save(other)
+        assert ClassCache.load(other).get(InputPartition((2, 2))) == cache.get(InputPartition((2, 2)))
+        crs_class(InputPartition((7,)), cache=loaded)
+        loaded.save(path)
+        assert path.stat().st_ino != before.st_ino
+        assert ClassCache.load(path).get(InputPartition((7,))) is not None
+
     def test_memoization_shares_subpartitions(self):
         cache = ClassCache()
         crs_class(InputPartition((4, 3, 2)), cache=cache)

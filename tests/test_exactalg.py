@@ -43,6 +43,10 @@ class TestBasics:
         assert dpoly(2) == DPoly({0: Fraction(2)})
         assert hash(dpoly(2)) == hash(DPoly({0: Fraction(2)}))
 
+    def test_zero_coefficients_are_int(self):
+        assert type(dpoly(1, 2).coefficient(5)) is int
+        assert type(DPoly().leading_coefficient) is int
+
     def test_negative_exponent_rejected_in_dpoly(self):
         with pytest.raises(ValueError):
             DPoly({-1: 1})

@@ -40,7 +40,7 @@ class TestTwoRowPartition:
         with pytest.raises(ValueError):
             two_row(1, 2)
         assert two_row(3, 1).weight == 4
-        assert two_row(3, 1).pi2 == 1
+        assert two_row(3, 1).r2 == 1
 
     def test_class_rejects_wrong_weight_key(self):
         with pytest.raises(ValueError):
