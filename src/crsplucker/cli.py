@@ -6,8 +6,10 @@ Subcommands:
   verify   sweep all partitions up to a weight and run the consistency checks
 
 Exit codes: 0 success, 1 verification failure (including a MISMATCH row
-printed by plucker), 2 bad input/flags, 3 internal assertion failure (a
-divisibility violation), 4 evaluation below the validity floor.
+printed by plucker), 2 bad input/flags or an unusable --cache path, 3
+internal assertion failure (an ArithmeticError: a divisibility violation, or
+a count that is not a nonnegative integer), 4 evaluation below the validity
+floor.
 Stdout carries data, stderr diagnostics.
 """
 
@@ -20,10 +22,9 @@ import sys
 from dataclasses import dataclass, field
 
 from .combinat import InputPartition, enumerate_partitions_no_ones
-from .crs import ClassCache, PivotPolicy, check_top_degree, class_to_json, class_via, crs_class
-from .errors import BadIndex, BelowValidityFloor, DivisibilityViolation
+from .crs import DEFAULT_POLICY, ClassCache, PivotPolicy, check_top_degree, class_to_json, class_via, crs_class
 from .exactalg import dpoly_to_coeff_strings, format_dpoly, format_rat
-from .plucker import index_to_j, plucker_formulas, plucker_value, ym_class_closed_form
+from .plucker import BelowValidityFloor, index_to_j, plucker_formulas, plucker_value, ym_class_closed_form
 
 CACHE_ENV_VAR = "CRS_PLUCKER_CACHE"
 
@@ -115,9 +116,15 @@ def render_table_latex(table):
 
 
 def open_cache(path):
-    if path and os.path.exists(path):
+    """The cache in the file at `path`, or an empty one.  A path that cannot
+    be read is bad input (ValueError); a file that does not parse is not."""
+    if path:
         try:
             return ClassCache.load(path)
+        except FileNotFoundError:
+            pass
+        except OSError as exc:
+            raise ValueError(f"cannot read cache file {path}: {exc.strerror or exc}") from None
         except ValueError as exc:
             print(f"warning: cache file {path} does not parse, starting empty: {exc}", file=sys.stderr)
     return ClassCache()
@@ -125,7 +132,10 @@ def open_cache(path):
 
 def save_cache(cache, path):
     if path:
-        cache.save(path)
+        try:
+            cache.save(path)
+        except OSError as exc:
+            raise ValueError(f"cannot write cache file {path}: {exc.strerror or exc}") from None
 
 
 # -- verification sweep -------------------------------------------------------
@@ -153,9 +163,9 @@ def run_verification(max_weight, cache=None):
     cached class of lambda.  Every lambda - (m) is itself in the sweep, so by
     induction on the number of parts every removal order gives the cached
     class, and every class loaded from a cache file is derived again.  A
-    class computed in this sweep was built by exactly that step along its
-    smallest part (the sweep ascends in weight, so lambda - (m) is already
-    cached), so that step is not taken twice.
+    class computed in this sweep was built by exactly that step along the
+    default policy's pivot (the sweep ascends in weight, so lambda - (m) is
+    already cached), so that step is not taken twice.
 
     Returns a list of CheckResult, one per check.
     """
@@ -172,7 +182,7 @@ def run_verification(max_weight, cache=None):
         cls = crs_class(lam, cache=cache)
 
         # pivot independence: one step per distinct part off the shared cache
-        pivots = set(lam.parts) - {min(lam.parts)} if computed else set(lam.parts)
+        pivots = set(lam.parts) - {DEFAULT_POLICY.choose(lam.parts)} if computed else set(lam.parts)
         ok = all(class_via(lam, m, cache) == cls for m in pivots)
         pivot_check.record(ok, (str(lam), "pivot-independence", "identical classes", "diverged"))
 
@@ -330,10 +340,10 @@ def main(argv=None):
     except BelowValidityFloor as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_BELOW_FLOOR
-    except DivisibilityViolation as exc:
+    except ArithmeticError as exc:
         print(f"internal assertion failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (ValueError, BadIndex) as exc:
+    except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -14,7 +14,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import OutOfRange, WeightMismatch
 from .symfunc import SchurClass, TwoRowPartition
 
 
@@ -133,14 +132,14 @@ def kostka_two_row(shape, content):
     if any(c <= 0 for c in content):
         raise ValueError("content entries must be positive")
     if sum(content) != shape.weight:
-        raise WeightMismatch(f"content weight {sum(content)} != shape weight {shape.weight}")
+        raise ValueError(f"content weight {sum(content)} != shape weight {shape.weight}")
     return _ssyt_count(shape.r1, shape.r2, tuple(sorted(content, reverse=True)))
 
 
 def stirling_first(m, k):
     """Unsigned Stirling number of the first kind, sigma_k(1, 2, ..., m-1)."""
     if m < 1 or k < 0 or k > m - 1:
-        raise OutOfRange(f"stirling_first requires m >= 1 and 0 <= k <= m-1, got ({m}, {k})")
+        raise ValueError(f"stirling_first requires m >= 1 and 0 <= k <= m-1, got ({m}, {k})")
     sigma = [1] + [0] * k
     for i in range(1, m):
         for j in range(min(k, i), 0, -1):

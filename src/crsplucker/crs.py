@@ -20,31 +20,32 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinat import InputPartition, complete_homogeneous_class, factorial_of_multiplicities
-from .errors import DivisibilityViolation
 from .exactalg import DPoly, dpoly_from_coeff_strings, dpoly_shift, dpoly_to_coeff_strings
 from .symfunc import SchurClass, TwoRowPartition, class_product, split_shift, unit_class, weighted_divdiff
 
-MIN_PART = "min"
-MAX_PART = "max"
+
+class DivisibilityViolation(ArithmeticError):
+    """A coefficient of B_t was not divisible by d^t: an implementation bug."""
 
 
 @dataclass(frozen=True)
 class PivotPolicy:
-    """Which part to remove at each recursion step.
+    """Which part to remove at each recursion step: `choose` (min or max)
+    applied to the parts.
 
     The computed class is independent of this choice; `verify` checks every
     removal order with class_via, one step per distinct part.
     """
 
-    kind: str
+    choose: object
 
     @classmethod
     def min_part(cls):
-        return cls(MIN_PART)
+        return cls(min)
 
     @classmethod
     def max_part(cls):
-        return cls(MAX_PART)
+        return cls(max)
 
 
 DEFAULT_POLICY = PivotPolicy.min_part()
@@ -84,15 +85,17 @@ class ClassCache:
         nothing changed since, writes nothing."""
         if os.fspath(path) == self._loaded_from:
             return
-        doc = {
-            key: class_to_json(cls, InputPartition.parse(key))
-            for key, cls in sorted(self._data.items())
-        }
         tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=1, sort_keys=True)
-                fh.write("\n")
+                # compact JSON with sorted keys, one entry at a time: the C
+                # encoder's speed without holding the whole document
+                fh.write("{")
+                for i, (key, cls) in enumerate(sorted(self._data.items())):
+                    entry = class_to_json(cls, InputPartition.parse(key))
+                    fh.write(("," if i else "") + json.dumps(key) + ":")
+                    fh.write(json.dumps(entry, sort_keys=True, separators=(",", ":")))
+                fh.write("}\n")
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):
@@ -189,7 +192,7 @@ def divide_by_d_power(b_class, t):
     for rho, coeff in b_class.items():
         terms = coeff.coeffs
         if min(terms) < t:
-            raise DivisibilityViolation(t, rho)
+            raise DivisibilityViolation(f"d^{t} does not divide the s_{tuple(rho)} coefficient of B_{t}")
         quotient[rho] = DPoly({e - t: c for e, c in terms.items()})
     return SchurClass(b_class.weight, quotient)
 
@@ -208,14 +211,6 @@ def recursion_step(y_prime, m):
     return shifted.map_coefficients(lambda p: dpoly_shift(p, -m))
 
 
-def _next_pivot(partition, policy):
-    if policy.kind == MIN_PART:
-        return min(partition.parts)
-    if policy.kind == MAX_PART:
-        return max(partition.parts)
-    raise ValueError(f"unknown pivot policy {policy.kind!r}")
-
-
 def crs_class(partition, policy=DEFAULT_POLICY, cache=None):
     """The equivariant class of the coincident root stratum of `partition`,
     as a SchurClass of weight codim with DPoly coefficients.
@@ -230,7 +225,7 @@ def crs_class(partition, policy=DEFAULT_POLICY, cache=None):
     hit = cache.get(partition)
     if hit is not None:
         return hit
-    result = class_via(partition, _next_pivot(partition, policy), cache, policy)
+    result = class_via(partition, policy.choose(partition.parts), cache, policy)
     cache.put(partition, result)
     return result
 

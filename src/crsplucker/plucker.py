@@ -16,12 +16,19 @@ from math import comb
 from .combinat import InputPartition, factorial_of_multiplicities, kostka_two_row, stirling_first
 # top_degree_class and top_degree_slice are the cache's oracle, kept importable here
 from .crs import crs_class, top_degree_class, top_degree_slice
-from .errors import BadIndex, BelowValidityFloor, OutOfRange
 from .exactalg import DPoly, dpoly_eval
 from .symfunc import SchurClass, TwoRowPartition
 
 KOSTKA = "kostka"
 STIRLING = "stirling"
+
+
+class BelowValidityFloor(ValueError):
+    """Evaluation of a Plucker formula below d = |lambda|, where the
+    polynomial/enumerative identification does not hold."""
+
+    def __init__(self, d0, floor):
+        super().__init__(f"d = {d0} is below the validity floor {floor}")
 
 
 @dataclass(frozen=True)
@@ -30,16 +37,15 @@ class PluckerFormula:
     j: int
     codim_index: int  # c - 2j
     formula: DPoly
-    validity_floor: int  # = |lambda|; evaluation below it is refused
 
     def count(self, d0):
         """The exact number of lambda-lines for degree d0.
 
-        Refuses d0 below the validity floor: the identification of the
-        polynomial with the enumerative count only holds from there on.
+        Refuses d0 below the validity floor |lambda|: the identification of
+        the polynomial with the enumerative count only holds from there on.
         """
-        if d0 < self.validity_floor:
-            raise BelowValidityFloor(d0, self.validity_floor)
+        if d0 < self.lam.weight:
+            raise BelowValidityFloor(d0, self.lam.weight)
         value = dpoly_eval(self.formula, d0)
         if value.denominator != 1 or value < 0:
             raise ArithmeticError(f"Plucker value at d={d0} is not a nonnegative integer: {value}")
@@ -51,7 +57,6 @@ class LeadingPrediction:
     degree: int
     coefficient: Fraction
     regime: str  # KOSTKA or STIRLING
-    threshold_pi2: int
 
 
 @dataclass(frozen=True)
@@ -86,24 +91,23 @@ def predicted_leading(lam, j):
     sigma_k(1, ..., lam1 - 1) / prod e_i! with k the overshoot.
     """
     if lam.is_empty():
-        raise OutOfRange("predictions require a nonempty partition")
+        raise ValueError("predictions require a nonempty partition")
     c = lam.codim
     if j < 0 or j > c // 2:
-        raise OutOfRange(f"j must lie in [0, {c // 2}], got {j}")
-    thr = threshold_pi2(lam)
+        raise ValueError(f"j must lie in [0, {c // 2}], got {j}")
     denom = factorial_of_multiplicities(lam)
-    if j <= thr:
+    if j <= threshold_pi2(lam):
         k = kostka_two_row(TwoRowPartition(c - j, j), lam.reduction)
-        return LeadingPrediction(lam.weight, Fraction(k, denom), KOSTKA, thr)
+        return LeadingPrediction(lam.weight, Fraction(k, denom), KOSTKA)
     overshoot = j - (c - lam.largest + 1)
     coeff = Fraction(stirling_first(lam.largest, overshoot), denom)
-    return LeadingPrediction(lam.weight - overshoot, coeff, STIRLING, thr)
+    return LeadingPrediction(lam.weight - overshoot, coeff, STIRLING)
 
 
 def _formula(lam, j, cls):
     """Formula j of lambda: the coefficient of s_(c-j, j) in its class."""
     c = lam.codim
-    return PluckerFormula(lam, j, c - 2 * j, cls.coefficient(TwoRowPartition(c - j, j)), lam.weight)
+    return PluckerFormula(lam, j, c - 2 * j, cls.coefficient(TwoRowPartition(c - j, j)))
 
 
 def _row(formula):
@@ -129,10 +133,10 @@ def index_to_j(lam, codim_index):
     """Convert a codimension index c - 2j to j, validating parity and range."""
     c = lam.codim
     if (c - codim_index) % 2 != 0:
-        raise BadIndex(f"index {codim_index} has the wrong parity for codim {c}")
+        raise ValueError(f"index {codim_index} has the wrong parity for codim {c}")
     j = (c - codim_index) // 2
     if j < 0 or j > c // 2:
-        raise BadIndex(f"index {codim_index} is out of range for codim {c}")
+        raise ValueError(f"index {codim_index} is out of range for codim {c}")
     return j
 
 

@@ -7,6 +7,7 @@ budgets are enforced with generous wall-clock asserts.
 
 import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -26,6 +27,7 @@ from crsplucker.plucker import (
     top_degree_slice,
 )
 from crsplucker.symfunc import TwoRowPartition, class_product
+from newton_form import newton_coefficients
 
 
 def _report(name, elapsed, budget):
@@ -156,12 +158,17 @@ def test_7_structural_properties():
 
 
 def test_8_integrality():
+    # nonnegative integral Newton coefficients at |lambda| make every count
+    # from |lambda| on a nonnegative integer; one uncached plucker_value per
+    # lambda, on a rotating row, checks the Newton form against the count
     start = time.monotonic()
-    for lam in enumerate_partitions_no_ones(10):
-        c = lam.codim
-        for j in range(c // 2 + 1):
-            index = c - 2 * j
-            for d0 in range(lam.weight, lam.weight + 11):
-                value = plucker_value(lam, index, d0)
-                assert isinstance(value, int) and value >= 0, (lam, index, d0)
+    cache = ClassCache()
+    for i, lam in enumerate(enumerate_partitions_no_ones(10)):
+        rows = plucker_formulas(lam, cache=cache).rows
+        newton = [newton_coefficients(row.formula) for row in rows]
+        assert all(min(coeffs) >= 0 for coeffs in newton), lam
+        row, coeffs = rows[i % len(rows)], newton[i % len(rows)]
+        value = plucker_value(lam, row.formula.codim_index, lam.weight + 10)
+        assert isinstance(value, int), (lam, row.formula.codim_index)
+        assert value == sum(c * comb(10, k) for k, c in enumerate(coeffs)), (lam, row.formula.codim_index)
     _report("integrality", time.monotonic() - start, 120.0)

@@ -269,6 +269,44 @@ class TestCacheFile:
         assert code == 1
         assert "(2,2)" in err and "pivot-independence" in err
 
+    def test_non_integral_count_exits_3(self, capsys, tmp_path):
+        # +1/2 on the d^0 coefficient of s_(2,0): 2! times the class is still
+        # integral and the top slice is right, so the entry loads, but the count is 25/2
+        path = tmp_path / "classes.json"
+        run(capsys, "--cache", str(path), "plucker", "2,2")
+        doc = json.loads(path.read_text())
+        coeff = doc["2,2"]["terms"][0]["coeff"]
+        coeff[0] = str(Fraction(coeff[0]) + Fraction(1, 2))
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "--cache", str(path), "plucker", "2,2", "--codim", "2", "--eval", "4")
+        assert (code, out) == (3, "")
+        assert len(err.strip().splitlines()) == 1 and "25/2" in err
+
+    def test_directory_as_cache_exits_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "--cache", str(tmp_path), "plucker", "2,2", "--codim", "0", "--eval", "4")
+        assert (code, out) == (2, "")
+        assert len(err.strip().splitlines()) == 1 and "cannot read cache file" in err
+
+    def test_cache_in_missing_directory_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "classes.json"
+        code, out, err = run(capsys, "--cache", str(path), "plucker", "2,2", "--codim", "0", "--eval", "4")
+        assert (code, out) == (2, "")
+        assert len(err.strip().splitlines()) == 1 and "cannot write cache file" in err
+        assert not path.parent.exists()
+
+    def test_indented_file_loads_whole_and_is_not_rewritten(self, capsys, tmp_path):
+        # the layout json.dump(..., indent=1) wrote before files became compact
+        path = tmp_path / "classes.json"
+        _, compact_out, _ = run(capsys, "--cache", str(path), "class", "4,3,2")
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        assert len(ClassCache.load(path)) == len(doc)
+        before = path.stat()
+        code, out, _ = run(capsys, "--cache", str(path), "class", "4,3,2")
+        assert (code, out) == (0, compact_out)
+        after = path.stat()
+        assert (after.st_mtime_ns, after.st_ino) == (before.st_mtime_ns, before.st_ino)
+
     @pytest.mark.parametrize("bad", ["1/0", float("inf")], ids=["zero-denominator", "infinity"])
     def test_damaged_value_recomputed(self, capsys, tmp_path, bad):
         path = tmp_path / "classes.json"

@@ -10,7 +10,6 @@ from crsplucker.combinat import (
     kostka_two_row,
     stirling_first,
 )
-from crsplucker.errors import OutOfRange, WeightMismatch
 from crsplucker.symfunc import SchurClass, TwoRowPartition, class_product, unit_class
 
 from monomial_oracle import all_two_row
@@ -89,7 +88,7 @@ class TestKostka:
         assert kostka_two_row((1, 1), (2,)) == 0
 
     def test_weight_mismatch(self):
-        with pytest.raises(WeightMismatch):
+        with pytest.raises(ValueError, match="content weight"):
             kostka_two_row((2, 1), (2, 2))
 
     def test_zero_content_entry_rejected(self):
@@ -125,9 +124,9 @@ class TestStirling:
         assert stirling_first(5, 2) == 35
 
     def test_out_of_range(self):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(ValueError, match="stirling_first requires"):
             stirling_first(3, 3)
-        with pytest.raises(OutOfRange):
+        with pytest.raises(ValueError, match="stirling_first requires"):
             stirling_first(0, 0)
 
     def test_recurrence(self):

@@ -12,6 +12,7 @@ from crsplucker.combinat import (
 )
 from crsplucker.crs import (
     ClassCache,
+    DivisibilityViolation,
     PivotPolicy,
     class_from_json,
     class_to_json,
@@ -20,10 +21,10 @@ from crsplucker.crs import (
     divide_by_d_power,
     recursion_step,
 )
-from crsplucker.errors import DivisibilityViolation
-from crsplucker.exactalg import DPoly, dpoly
+from crsplucker.exactalg import DPoly, dpoly, dpoly_eval
 from crsplucker.plucker import top_degree_class, top_degree_slice, ym_class_closed_form
 from crsplucker.symfunc import SchurClass, TwoRowPartition, class_product, unit_class
+from localization_oracle import localization_class
 
 
 def y2():
@@ -118,6 +119,29 @@ class TestGoldenOutput:
             for lam in enumerate_partitions_no_ones(16)
         )
         assert hashlib.sha256(text.encode()).hexdigest() == self.WEIGHT_16_SHA256
+
+
+class TestLocalizationOracle:
+    @staticmethod
+    def at(cls, lam, d0):
+        c = lam.codim
+        return {u: dpoly_eval(cls.coefficient(TwoRowPartition(u, c - u)), d0) for u in range(c, (c - 1) // 2, -1)}
+
+    def test_agrees_with_recursion_up_to_weight_10(self):
+        cache = ClassCache()
+        for lam in enumerate_partitions_no_ones(10):
+            cls = crs_class(lam, cache=cache)
+            for d0 in range(lam.weight, 2 * lam.weight + 1):
+                assert localization_class(lam, d0) == self.at(cls, lam, d0), (lam, d0)
+
+    def test_damaged_entry_disagrees(self):
+        # +1 on the d^0 coefficient of s_(2,0): the entry still passes every
+        # check on load, and in verify only re-deriving the class catches it
+        lam = InputPartition((2, 2))
+        doc = class_to_json(crs_class(lam), lam)
+        assert doc["terms"][0]["rho"] == [2, 0]
+        doc["terms"][0]["coeff"][0] = str(Fraction(doc["terms"][0]["coeff"][0]) + 1)
+        assert localization_class(lam, 4) != self.at(class_from_json(doc), lam, 4)
 
 
 class TestStructuralProperties:
@@ -251,11 +275,10 @@ class TestCache:
         cache.save(path)
         crs_class(InputPartition((9,)), cache=cache)
 
-        def crash(doc, fh, **kwargs):
-            fh.write("{")
-            raise OSError("disk full")
+        def crash(src, dst):
+            raise OSError("rename failed")  # after the sibling file was written
 
-        monkeypatch.setattr(crsplucker.crs.json, "dump", crash)
+        monkeypatch.setattr(crsplucker.crs.os, "replace", crash)
         with pytest.raises(OSError):
             cache.save(path)
         monkeypatch.undo()
@@ -282,6 +305,18 @@ class TestCache:
         loaded.save(path)
         assert path.stat().st_ino != before.st_ino
         assert ClassCache.load(path).get(InputPartition((7,))) is not None
+
+    def test_file_is_compact_sorted_json(self, tmp_path):
+        path = tmp_path / "cache.json"
+        ClassCache().save(path)
+        assert path.read_text() == "{}\n"
+        cache = ClassCache()
+        for lam in enumerate_partitions_no_ones(8):
+            crs_class(lam, cache=cache)
+        cache.save(path)
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+        assert len(json.loads(text)) == len(cache)
 
     def test_memoization_shares_subpartitions(self):
         cache = ClassCache()
