@@ -19,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 from .combinat import InputPartition, enumerate_partitions_no_ones
 from .crs import DEFAULT_POLICY, ClassCache, PivotPolicy, check_top_degree, class_to_json, class_via, crs_class
@@ -69,6 +68,12 @@ def render_class_latex(lam, cls):
     return f"\\left[\\,\\overline Y_{{{lam.canonical_string()}}}(d)\\right] = {terms or '0'}"
 
 
+def _mismatch(row):
+    f, p = row.formula.formula, row.prediction
+    want = f"expected degree {p.degree} leading {p.coefficient}"
+    return f"{want}, got degree {f.degree} leading {f.leading_coefficient}"
+
+
 def render_table_plain(table):
     lines = []
     for row in table.rows:
@@ -77,7 +82,7 @@ def render_table_plain(table):
             f"Pl[{f.lam.canonical_string()};{f.codim_index}] = {format_dpoly(f.formula)}"
             f"   (predicted degree {row.prediction.degree},"
             f" leading {format_rat(row.prediction.coefficient)},"
-            f" {row.prediction.regime}: {'match' if row.match else 'MISMATCH ' + row.details})"
+            f" {row.prediction.regime}: {'match' if row.match else 'MISMATCH ' + _mismatch(row)})"
         )
     return "\n".join(lines)
 
@@ -141,11 +146,11 @@ def save_cache(cache, path):
 # -- verification sweep -------------------------------------------------------
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: int = 0
-    failures: list = field(default_factory=list)
+    __slots__ = ("name", "passed", "failures")
+
+    def __init__(self, name):
+        self.name, self.passed, self.failures = name, 0, []
 
     def record(self, ok, witness):
         if ok:
@@ -203,17 +208,13 @@ def run_verification(max_weight, cache=None):
         top_degree.record(problem is None, (str(lam), "top-degree", want, problem))
 
         # leading terms of every formula
-        table = plucker_formulas(lam, cache=cache)
-        for row in table.rows:
-            leading.record(
-                row.match,
-                (
-                    str(lam),
-                    f"leading-term j={row.formula.j}",
-                    f"degree {row.prediction.degree} leading {row.prediction.coefficient}",
-                    row.details or "mismatch",
-                ),
-            )
+        for row in plucker_formulas(lam, cache=cache).rows:
+            if row.match:
+                leading.passed += 1
+            else:
+                p = row.prediction
+                want = f"degree {p.degree} leading {p.coefficient}"
+                leading.failures.append((str(lam), f"leading-term j={row.formula.j}", want, _mismatch(row)))
 
     return [pivot_check, closed_form, top_degree, leading]
 
@@ -238,19 +239,16 @@ def cmd_class(args):
 def cmd_plucker(args):
     lam = parse_partition(args.partition)
     cache = open_cache(args.cache)
-    if args.codim is not None and args.eval is not None:
-        value = plucker_value(lam, args.codim, args.eval, cache=cache)
+    if args.eval is not None:
+        indices = range(lam.codim, -1, -2) if args.codim is None else [args.codim]
+        values = [plucker_value(lam, index, args.eval, cache) for index in indices]
         save_cache(cache, args.cache)
-        print(value)
+        print("\n".join(map(str, values)))
         return EXIT_OK
     table = plucker_formulas(lam, cache=cache)
     save_cache(cache, args.cache)
     if args.codim is not None:
-        j = index_to_j(lam, args.codim)
-        table = type(table)(table.lam, (table.rows[j],))
-    elif args.eval is not None:
-        print("\n".join(str(row.formula.count(args.eval)) for row in table.rows))
-        return EXIT_OK
+        table = table._replace(rows=(table.rows[index_to_j(lam, args.codim)],))
     if args.format == "json":
         print(json.dumps(render_table_json(table), sort_keys=True))
     elif args.format == "latex":

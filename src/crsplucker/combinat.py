@@ -11,24 +11,23 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .symfunc import SchurClass, TwoRowPartition
 
 
-@dataclass(frozen=True)
-class InputPartition:
+class InputPartition(NamedTuple("InputPartition", [("parts", tuple)])):
     """A partition without 1's, stored as a weakly decreasing tuple of parts >= 2."""
 
-    parts: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        parts = tuple(sorted((int(p) for p in self.parts), reverse=True))
+    def __new__(cls, parts):
+        parts = tuple(sorted((int(p) for p in parts), reverse=True))
         for p in parts:
             if p < 2:
                 raise ValueError(f"parts must be >= 2, got {p}")
-        object.__setattr__(self, "parts", parts)
+        return super().__new__(cls, parts)
 
     @property
     def weight(self):

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .combinat import InputPartition, complete_homogeneous_class, factorial_of_multiplicities
 from .exactalg import DPoly, dpoly_from_coeff_strings, dpoly_shift, dpoly_to_coeff_strings
@@ -28,8 +28,7 @@ class DivisibilityViolation(ArithmeticError):
     """A coefficient of B_t was not divisible by d^t: an implementation bug."""
 
 
-@dataclass(frozen=True)
-class PivotPolicy:
+class PivotPolicy(NamedTuple):
     """Which part to remove at each recursion step: `choose` (min or max)
     applied to the parts.
 

@@ -9,9 +9,9 @@ numbers of the first kind beyond it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 from .combinat import InputPartition, factorial_of_multiplicities, kostka_two_row, stirling_first
 # top_degree_class and top_degree_slice are the cache's oracle, kept importable here
@@ -31,12 +31,15 @@ class BelowValidityFloor(ValueError):
         super().__init__(f"d = {d0} is below the validity floor {floor}")
 
 
-@dataclass(frozen=True)
-class PluckerFormula:
+class PluckerFormula(NamedTuple):
     lam: InputPartition
     j: int
-    codim_index: int  # c - 2j
     formula: DPoly
+
+    @property
+    def codim_index(self):
+        """The index c - 2j by which the CLI and plucker_value name this formula."""
+        return self.lam.codim - 2 * self.j
 
     def count(self, d0):
         """The exact number of lambda-lines for degree d0.
@@ -52,23 +55,24 @@ class PluckerFormula:
         return int(value)
 
 
-@dataclass(frozen=True)
-class LeadingPrediction:
+class LeadingPrediction(NamedTuple):
     degree: int
     coefficient: Fraction
     regime: str  # KOSTKA or STIRLING
 
 
-@dataclass(frozen=True)
-class PluckerRow:
+class PluckerRow(NamedTuple):
     formula: PluckerFormula
     prediction: LeadingPrediction
-    match: bool
-    details: str = ""
+
+    @property
+    def match(self):
+        """Whether the formula's degree and leading coefficient are the predicted ones."""
+        f, p = self.formula.formula, self.prediction
+        return (f.degree, f.leading_coefficient) == (p.degree, p.coefficient)
 
 
-@dataclass(frozen=True)
-class PluckerTable:
+class PluckerTable(NamedTuple):
     lam: InputPartition
     rows: tuple  # PluckerRow, ordered by j ascending
 
@@ -107,26 +111,17 @@ def predicted_leading(lam, j):
 def _formula(lam, j, cls):
     """Formula j of lambda: the coefficient of s_(c-j, j) in its class."""
     c = lam.codim
-    return PluckerFormula(lam, j, c - 2 * j, cls.coefficient(TwoRowPartition(c - j, j)))
-
-
-def _row(formula):
-    prediction = predicted_leading(formula.lam, formula.j)
-    got = (formula.formula.degree, formula.formula.leading_coefficient)
-    want = (prediction.degree, prediction.coefficient)
-    if got == want:
-        return PluckerRow(formula, prediction, True)
-    details = f"expected degree {want[0]} leading {want[1]}, got degree {got[0]} leading {got[1]}"
-    return PluckerRow(formula, prediction, False, details)
+    return PluckerFormula(lam, j, cls.coefficient(TwoRowPartition(c - j, j)))
 
 
 def plucker_formulas(lam, cache=None):
     """Extract every Schur coefficient of the class of lambda as a formula
-    row, with its leading-term prediction and verdict attached."""
+    row, with its leading-term prediction attached."""
     if lam.is_empty():
         raise ValueError("the empty partition has no Plucker formulas")
     cls = crs_class(lam, cache=cache)
-    return PluckerTable(lam, tuple(_row(_formula(lam, j, cls)) for j in range(lam.codim // 2 + 1)))
+    rows = (PluckerRow(_formula(lam, j, cls), predicted_leading(lam, j)) for j in range(lam.codim // 2 + 1))
+    return PluckerTable(lam, tuple(rows))
 
 
 def index_to_j(lam, codim_index):

@@ -1,6 +1,9 @@
-import dataclasses
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +21,22 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_cli_import_pulls_in_no_dataclasses():
+    # every CLI start pays for what the import graph holds; -S keeps site's
+    # own imports out of the picture
+    src = str(Path(crsplucker.cli.__file__).parents[1])
+    code = "import sys, crsplucker.cli; print(sorted(set(sys.argv[1:]) & set(sys.modules)))"
+    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code, *heavy],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"
 
 
 class TestClassCommand:
@@ -97,7 +116,7 @@ class TestPluckerCommand:
         def wrong(lam, j):
             prediction = real(lam, j)
             if lam.parts == (2, 2) and j == 0:
-                return dataclasses.replace(prediction, coefficient=prediction.coefficient + 1)
+                return prediction._replace(coefficient=prediction.coefficient + 1)
             return prediction
 
         monkeypatch.setattr(crsplucker.plucker, "predicted_leading", wrong)
@@ -121,6 +140,20 @@ class TestPluckerCommand:
         code, _, err = run(capsys, "plucker", "2,2", "--codim", "0", "--eval", "3")
         assert code == 4
         assert err
+
+    def test_eval_every_row_refuses_before_computing(self, capsys, monkeypatch):
+        def unused(*args, **kwargs):
+            raise AssertionError("the class was computed for a refused degree")
+
+        monkeypatch.setattr(crsplucker.plucker, "crs_class", unused)
+        code, out, err = run(capsys, "plucker", "12,10,8", "--eval", "3")
+        assert (code, out) == (4, "")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_eval_every_row(self, capsys):
+        # rows in j order: index c = 2 first, then index 0, the bitangents
+        code, out, _ = run(capsys, "plucker", "2,2", "--eval", "4")
+        assert (code, out) == (0, "12\n28\n")
 
     def test_json_table(self, capsys):
         code, out, _ = run(capsys, "plucker", "2,2", "--format", "json")
@@ -278,9 +311,26 @@ class TestCacheFile:
         coeff = doc["2,2"]["terms"][0]["coeff"]
         coeff[0] = str(Fraction(coeff[0]) + Fraction(1, 2))
         path.write_text(json.dumps(doc))
-        code, out, err = run(capsys, "--cache", str(path), "plucker", "2,2", "--codim", "2", "--eval", "4")
-        assert (code, out) == (3, "")
-        assert len(err.strip().splitlines()) == 1 and "25/2" in err
+        for index in (["--codim", "2"], []):
+            code, out, err = run(capsys, "--cache", str(path), "plucker", "2,2", *index, "--eval", "4")
+            assert (code, out) == (3, ""), index
+            assert len(err.strip().splitlines()) == 1 and "25/2" in err, index
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a wrong cache entry that is integral and has the right top slice is served "
+        "(ROADMAP: counts by a point chain; cached classes audited at a random point)",
+    )
+    def test_wrong_lower_coefficient_count_not_served(self, capsys, tmp_path):
+        # the +1 entry of test_wrong_lower_coefficient_fails_verify; the right count is 12
+        path = tmp_path / "classes.json"
+        run(capsys, "--cache", str(path), "plucker", "2,2")
+        doc = json.loads(path.read_text())
+        coeff = doc["2,2"]["terms"][0]["coeff"]
+        coeff[0] = str(Fraction(coeff[0]) + 1)
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "--cache", str(path), "plucker", "2,2", "--codim", "2", "--eval", "4")
+        assert code != 0 or out.strip() == "12"
 
     def test_directory_as_cache_exits_2(self, capsys, tmp_path):
         code, out, err = run(capsys, "--cache", str(tmp_path), "plucker", "2,2", "--codim", "0", "--eval", "4")

@@ -75,7 +75,7 @@ class TestValues:
     def test_zero_formula_counts_zero(self):
         # no real formula at weight <= 18 is 0 at d0 = |lambda|, so build one
         lam = InputPartition((2, 2))
-        assert PluckerFormula(lam, 0, 2, DPoly()).count(lam.weight) == 0
+        assert PluckerFormula(lam, 0, DPoly()).count(lam.weight) == 0
 
     def test_integrality_sweep(self):
         # integral Newton coefficients at |lambda| make every count from there
