@@ -69,20 +69,21 @@ def render_class_latex(lam, cls):
 
 
 def _mismatch(row):
+    """(expected, got): the predicted and the formula's degree and leading coefficient."""
     f, p = row.formula.formula, row.prediction
-    want = f"expected degree {p.degree} leading {p.coefficient}"
-    return f"{want}, got degree {f.degree} leading {f.leading_coefficient}"
+    return f"degree {p.degree} leading {p.coefficient}", f"degree {f.degree} leading {f.leading_coefficient}"
 
 
 def render_table_plain(table):
     lines = []
     for row in table.rows:
         f = row.formula
+        verdict = "match" if row.match else "MISMATCH expected {}, got {}".format(*_mismatch(row))
         lines.append(
             f"Pl[{f.lam.canonical_string()};{f.codim_index}] = {format_dpoly(f.formula)}"
             f"   (predicted degree {row.prediction.degree},"
             f" leading {format_rat(row.prediction.coefficient)},"
-            f" {row.prediction.regime}: {'match' if row.match else 'MISMATCH ' + _mismatch(row)})"
+            f" {row.prediction.regime}: {verdict})"
         )
     return "\n".join(lines)
 
@@ -212,9 +213,7 @@ def run_verification(max_weight, cache=None):
             if row.match:
                 leading.passed += 1
             else:
-                p = row.prediction
-                want = f"degree {p.degree} leading {p.coefficient}"
-                leading.failures.append((str(lam), f"leading-term j={row.formula.j}", want, _mismatch(row)))
+                leading.failures.append((str(lam), f"leading-term j={row.formula.j}", *_mismatch(row)))
 
     return [pivot_check, closed_form, top_degree, leading]
 
@@ -238,17 +237,17 @@ def cmd_class(args):
 
 def cmd_plucker(args):
     lam = parse_partition(args.partition)
+    indices = range(lam.codim, -1, -2) if args.codim is None else [args.codim]
+    js = [index_to_j(lam, index) for index in indices]  # a bad --codim is refused before any work
     cache = open_cache(args.cache)
     if args.eval is not None:
-        indices = range(lam.codim, -1, -2) if args.codim is None else [args.codim]
         values = [plucker_value(lam, index, args.eval, cache) for index in indices]
         save_cache(cache, args.cache)
         print("\n".join(map(str, values)))
         return EXIT_OK
     table = plucker_formulas(lam, cache=cache)
     save_cache(cache, args.cache)
-    if args.codim is not None:
-        table = table._replace(rows=(table.rows[index_to_j(lam, args.codim)],))
+    table = table._replace(rows=tuple(table.rows[j] for j in js))
     if args.format == "json":
         print(json.dumps(render_table_json(table), sort_keys=True))
     elif args.format == "latex":

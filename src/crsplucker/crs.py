@@ -236,5 +236,10 @@ def class_via(partition, m, cache, policy=DEFAULT_POLICY):
     or computed under `policy` and cached.  The result itself is not cached.
     """
     smaller = partition.remove(m)
-    sub = crs_class(smaller, policy, cache).scale(factorial_of_multiplicities(smaller))
-    return recursion_step(sub, m).scale(Fraction(1, factorial_of_multiplicities(partition)))
+    sub = crs_class(smaller, policy, cache)
+    if (sub_scale := factorial_of_multiplicities(smaller)) != 1:
+        sub = sub.scale(sub_scale)
+    result = recursion_step(sub, m)
+    if (scale := factorial_of_multiplicities(partition)) != 1:
+        result = result.scale(Fraction(1, scale))
+    return result

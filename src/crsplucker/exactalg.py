@@ -10,7 +10,6 @@ where the division is exact, so no Laurent type is needed.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 NEG_INF = float("-inf")
@@ -124,12 +123,19 @@ def dpoly_eval(p, d0):
 
 
 def dpoly_shift(p, delta):
-    """Return q with q(d) = p(d + delta)."""
-    out = {}
-    for e, c in p._coeffs.items():
-        for i in range(e + 1):
-            out[i] = out.get(i, 0) + c * math.comb(e, i) * delta ** (e - i)
-    return DPoly(out)
+    """Return q with q(d) = p(d + delta); p itself when delta is 0 or p is 0.
+
+    Taylor shift by repeated synthetic division by d - delta, on a dense
+    list: n^2/2 multiply-adds by delta for degree n, no binomials or powers.
+    """
+    if not delta or not p._coeffs:
+        return p
+    a = [p.coefficient(e) for e in range(p.degree + 1)]
+    n = len(a) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            a[j] += delta * a[j + 1]
+    return DPoly(dict(enumerate(a)))
 
 
 # -- canonical text/JSON rendering ----------------------------------------

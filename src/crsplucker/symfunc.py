@@ -185,18 +185,20 @@ def linear_factor_expansion(m):
     """Coefficients e_f(d) of prod_{i=0}^{m-1}(i*a + (d+m-i)*b) = sum_f e_f a^(m-f) b^f.
 
     e_0 = 0 (the i = 0 factor has no a part), deg(e_f) = f and leading
-    coefficients are positive.  Returns the tuple (e_0, ..., e_m); it is
-    cached, since every bucket of every recursion step with pivot m needs it.
+    coefficients are positive.  Each e_f is a dense int list from d^0 upward
+    while one factor per pass is multiplied in: e_f <- i*e_f + (d+m-i)*e_(f-1).
+    Returns the tuple (e_0, ..., e_m) of DPoly; it is cached, since every
+    bucket of every recursion step with pivot m needs it.
     """
-    coeffs = [ONE]  # index = power of b so far
+    e = [[1]]  # e[f] = coefficients of e_f, length f + 1
     for i in range(m):
-        b_part = dpoly(m - i, 1)  # d + m - i
-        nxt = [DPoly() for _ in range(len(coeffs) + 1)]
-        for f, c in enumerate(coeffs):
-            nxt[f] = nxt[f] + c * i
-            nxt[f + 1] = nxt[f + 1] + c * b_part
-        coeffs = nxt
-    return tuple(coeffs)
+        k = m - i
+        e.append([0] * (len(e) + 1))
+        for f in range(len(e) - 1, 0, -1):
+            lower = e[f - 1]
+            e[f] = [i * x + k * y + z for x, y, z in zip(e[f], lower + [0], [0] + lower)]
+        e[0] = [i * x for x in e[0]]
+    return tuple(DPoly(dict(enumerate(row))) for row in e)
 
 
 def weighted_divdiff(t, m):

@@ -150,6 +150,17 @@ class TestPluckerCommand:
         assert (code, out) == (4, "")
         assert len(err.strip().splitlines()) == 1
 
+    def test_bad_index_refused_before_any_work(self, capsys, monkeypatch, tmp_path):
+        def unused(*args, **kwargs):
+            raise AssertionError("the class was computed for a refused index")
+
+        monkeypatch.setattr(crsplucker.plucker, "crs_class", unused)
+        path = tmp_path / "cache.json"
+        code, out, err = run(capsys, "--cache", str(path), "plucker", "12,10,8", "--codim", "4")
+        assert (code, out) == (2, "")
+        assert len(err.strip().splitlines()) == 1
+        assert not path.exists()
+
     def test_eval_every_row(self, capsys):
         # rows in j order: index c = 2 first, then index 0, the bitangents
         code, out, _ = run(capsys, "plucker", "2,2", "--eval", "4")
@@ -214,6 +225,23 @@ class TestVerifyCommand:
         calls.clear()
         run_verification(12, cache)
         assert len(calls) == 139
+
+    def test_leading_term_failure_names_the_expectation_once(self, capsys, monkeypatch):
+        real = crsplucker.plucker.predicted_leading
+
+        def wrong(lam, j):
+            prediction = real(lam, j)
+            if lam.parts == (2, 2) and j == 0:
+                return prediction._replace(degree=5, coefficient=Fraction(3, 2))
+            return prediction
+
+        monkeypatch.setattr(crsplucker.plucker, "predicted_leading", wrong)
+        code, _, err = run(capsys, "verify", "--max-weight", "4")
+        assert code == 1
+        assert err.strip().splitlines() == [
+            "first failure: partition (2,2), check leading-term j=0:"
+            " expected degree 5 leading 3/2, got degree 4 leading 1/2"
+        ]
 
     def test_json_report(self, capsys):
         code, out, _ = run(capsys, "verify", "--max-weight", "5", "--format", "json")

@@ -155,8 +155,9 @@ class TestStructuralProperties:
             assert crs_class(lam, PivotPolicy.max_part(), ClassCache()) == reference, lam
 
     def test_closed_form_oracle(self):
-        for m in range(2, 13):
-            assert crs_class(InputPartition((m,))) == ym_class_closed_form(m)
+        # 40 and 60 are the single parts of the cold-classes benchmark, far above verify's reach
+        for m in [*range(2, 13), 40, 60]:
+            assert crs_class(InputPartition((m,))) == ym_class_closed_form(m), m
 
     def test_top_degree_oracle(self):
         cache = ClassCache()

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -85,6 +86,42 @@ class TestShift:
     @given(polys(), st.integers(-10, 10), st.integers(-6, 6))
     def test_eval_compatibility(self, p, delta, d0):
         assert dpoly_eval(dpoly_shift(p, delta), d0) == dpoly_eval(p, d0 + delta)
+
+    def test_zero_delta_returns_the_polynomial(self):
+        p = dpoly(1, Fraction(-2, 3), 5)
+        assert dpoly_shift(p, 0) is p
+
+    def test_zero_polynomial(self):
+        assert dpoly_shift(DPoly(), 7) == DPoly()
+        assert dpoly_shift(DPoly(), 0) == DPoly()
+
+
+def binomial_shift(p, delta):
+    """The expansion p(d + delta) = sum c * binom(e, i) * delta^(e-i) * d^i, term by term."""
+    out = {}
+    for e, c in p.coeffs.items():
+        for i in range(e + 1):
+            out[i] = out.get(i, 0) + c * math.comb(e, i) * delta ** (e - i)
+    return DPoly(out)
+
+
+def dense_polys(max_degree=60):
+    coefficient = st.one_of(st.integers(-(10**30), 10**30), small_rats())
+    return st.lists(coefficient, max_size=max_degree + 1).map(lambda cs: dpoly(*cs))
+
+
+class TestShiftAgainstBinomialExpansion:
+    @settings(max_examples=200)
+    @given(dense_polys(), st.integers(-60, 60))
+    def test_equals_binomial_expansion(self, p, delta):
+        assert dpoly_shift(p, delta) == binomial_shift(p, delta)
+
+    def test_degree_sixty_falling_factorial(self):
+        # d(d-1)...(d-59) shifted by -60, as the last step of a recursion with pivot 60 does
+        p = DPoly({0: 1})
+        for k in range(60):
+            p = p * dpoly(-k, 1)
+        assert dpoly_shift(p, -60) == binomial_shift(p, -60)
 
 
 class TestRingAxioms:

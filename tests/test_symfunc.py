@@ -177,6 +177,19 @@ class TestSplitShift:
         assert [cls.weight for cls in b] == [3, 2, 1, 0]
 
 
+def dpoly_product_factor_expansion(m):
+    """e_0, ..., e_m of prod_{i<m}(i*a + (d+m-i)*b), multiplied out factor by factor in DPoly."""
+    coeffs = [dpoly(1)]  # index = power of b so far
+    for i in range(m):
+        b_part = dpoly(m - i, 1)  # d + m - i
+        nxt = [DPoly() for _ in range(len(coeffs) + 1)]
+        for f, c in enumerate(coeffs):
+            nxt[f] = nxt[f] + c * i
+            nxt[f + 1] = nxt[f + 1] + c * b_part
+        coeffs = nxt
+    return tuple(coeffs)
+
+
 class TestWeightedDivdiff:
     def test_shifted_m2_is_translated_y2(self):
         a0 = weighted_divdiff(0, 2)
@@ -198,6 +211,10 @@ class TestWeightedDivdiff:
         # in plain d, A_1 is d(d-2) s(1,1)
         a1_plain = dpoly(0, -2, 1)
         assert a1 == SchurClass(2, {TwoRowPartition(1, 1): dpoly_shift(a1_plain, 2)})
+
+    @pytest.mark.parametrize("m", [*range(2, 41), 60])
+    def test_factor_expansion_equals_dpoly_product(self, m):
+        assert linear_factor_expansion(m) == dpoly_product_factor_expansion(m)
 
     def test_factor_expansion_degrees(self):
         for m in (2, 3, 4, 5):
