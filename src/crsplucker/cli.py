@@ -9,7 +9,8 @@ Exit codes: 0 success, 1 verification failure (including a MISMATCH row
 printed by plucker), 2 bad input/flags or an unusable --cache path, 3
 internal assertion failure (an ArithmeticError: a divisibility violation, or
 a count that is not a nonnegative integer), 4 evaluation below the validity
-floor.
+floor, 141 stdout closed by its reader (128 + SIGPIPE, as a shell reports a
+process that SIGPIPE ends; nothing is printed).
 Stdout carries data, stderr diagnostics.
 """
 
@@ -21,8 +22,8 @@ import os
 import sys
 
 from .combinat import InputPartition, enumerate_partitions_no_ones
-from .crs import DEFAULT_POLICY, ClassCache, PivotPolicy, check_top_degree, class_to_json, class_via, crs_class
-from .exactalg import dpoly_to_coeff_strings, format_dpoly, format_rat
+from .crs import DEFAULT_POLICY, ClassCache, check_top_degree, class_to_json, class_via, crs_class
+from .exactalg import dpoly_to_coeff_strings, format_dpoly
 from .plucker import BelowValidityFloor, index_to_j, plucker_formulas, plucker_value, ym_class_closed_form
 
 CACHE_ENV_VAR = "CRS_PLUCKER_CACHE"
@@ -32,6 +33,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_INTERNAL = 3
 EXIT_BELOW_FLOOR = 4
+EXIT_BROKEN_PIPE = 141
 
 
 def parse_partition(text):
@@ -42,10 +44,6 @@ def parse_partition(text):
     if lam.is_empty():
         raise ValueError("partition must be nonempty")
     return lam
-
-
-def _policy(name):
-    return PivotPolicy.max_part() if name == "max" else PivotPolicy.min_part()
 
 
 # -- rendering --------------------------------------------------------------
@@ -82,7 +80,7 @@ def render_table_plain(table):
         lines.append(
             f"Pl[{f.lam.canonical_string()};{f.codim_index}] = {format_dpoly(f.formula)}"
             f"   (predicted degree {row.prediction.degree},"
-            f" leading {format_rat(row.prediction.coefficient)},"
+            f" leading {row.prediction.coefficient},"
             f" {row.prediction.regime}: {verdict})"
         )
     return "\n".join(lines)
@@ -98,7 +96,7 @@ def render_table_json(table):
                 "codim_index": row.formula.codim_index,
                 "coeff": dpoly_to_coeff_strings(row.formula.formula),
                 "predicted_degree": row.prediction.degree,
-                "predicted_leading": format_rat(row.prediction.coefficient),
+                "predicted_leading": str(row.prediction.coefficient),
                 "regime": row.prediction.regime,
                 "match": row.match,
             }
@@ -123,7 +121,8 @@ def render_table_latex(table):
 
 def open_cache(path):
     """The cache in the file at `path`, or an empty one.  A path that cannot
-    be read is bad input (ValueError); a file that does not parse is not."""
+    be read is bad input (ValueError); a file that does not parse, or nests
+    too deeply for the JSON decoder, is not."""
     if path:
         try:
             return ClassCache.load(path)
@@ -131,7 +130,7 @@ def open_cache(path):
             pass
         except OSError as exc:
             raise ValueError(f"cannot read cache file {path}: {exc.strerror or exc}") from None
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             print(f"warning: cache file {path} does not parse, starting empty: {exc}", file=sys.stderr)
     return ClassCache()
 
@@ -224,7 +223,7 @@ def run_verification(max_weight, cache=None):
 def cmd_class(args):
     lam = parse_partition(args.partition)
     cache = open_cache(args.cache)
-    cls = crs_class(lam, _policy(args.pivot), cache)
+    cls = crs_class(lam, cache=cache)
     save_cache(cache, args.cache)
     if args.format == "json":
         print(json.dumps(class_to_json(cls, lam), sort_keys=True))
@@ -309,7 +308,6 @@ def build_parser():
     p_class = sub.add_parser("class", help="compute the class of one partition")
     p_class.add_argument("partition", help="comma-separated parts, each >= 2, e.g. 10,2,2")
     p_class.add_argument("--format", choices=["plain", "json", "latex"], default="plain")
-    p_class.add_argument("--pivot", choices=["min", "max"], default="min")
     p_class.set_defaults(func=cmd_class)
 
     p_pl = sub.add_parser("plucker", help="Plucker formulas and values")
@@ -333,7 +331,13 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout must fail here, not at exit
+        return code
+    except BrokenPipeError:
+        # the unwritten rest goes to /dev/null, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except BelowValidityFloor as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_BELOW_FLOOR

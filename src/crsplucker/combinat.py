@@ -14,8 +14,6 @@ from collections import Counter
 from functools import lru_cache
 from typing import NamedTuple
 
-from .symfunc import SchurClass, TwoRowPartition
-
 
 class InputPartition(NamedTuple("InputPartition", [("parts", tuple)])):
     """A partition without 1's, stored as a weakly decreasing tuple of parts >= 2."""
@@ -126,13 +124,13 @@ def _ssyt_count(r1, r2, content):
 
 def kostka_two_row(shape, content):
     """Exact SSYT count for a two-row shape and the given content."""
-    shape = TwoRowPartition(*shape)
+    r1, r2 = shape
     content = tuple(int(c) for c in content)
     if any(c <= 0 for c in content):
         raise ValueError("content entries must be positive")
-    if sum(content) != shape.weight:
-        raise ValueError(f"content weight {sum(content)} != shape weight {shape.weight}")
-    return _ssyt_count(shape.r1, shape.r2, tuple(sorted(content, reverse=True)))
+    if sum(content) != r1 + r2:
+        raise ValueError(f"content weight {sum(content)} != shape weight {r1 + r2}")
+    return _ssyt_count(r1, r2, tuple(sorted(content, reverse=True)))
 
 
 def stirling_first(m, k):
@@ -146,14 +144,13 @@ def stirling_first(m, k):
     return sigma[k]
 
 
-def complete_homogeneous_class(nu):
-    """The product of complete symmetric polynomials h_nu = prod h_{nu_i} in
-    {a, b}, expanded in the Schur basis; h_i = s_(i,0).
+def complete_homogeneous_coefficients(nu):
+    """The Schur expansion of h_nu = prod h_{nu_i} in {a, b}, h_i = s_(i,0),
+    as a list of ints: entry r2 is the coefficient of s_(w-r2, r2), w = |nu|,
+    which is the two-row Kostka number K_((w-r2, r2), nu).
 
-    Expansion coefficients are the two-row Kostka numbers for content nu.
-    They are built by the Pieri rule on one list of ints: coeffs[r2] is the
-    coefficient of s_(w-r2, r2), and multiplying by h_k adds it to every
-    s_(w+k-v, v) with r2 <= v <= min(r2+k, w-r2).
+    Built by the Pieri rule: multiplying by h_k adds the coefficient of
+    s_(w-r2, r2) to every s_(w+k-v, v) with r2 <= v <= min(r2+k, w-r2).
     """
     weight, coeffs = 0, [1]
     for part in nu:
@@ -165,7 +162,7 @@ def complete_homogeneous_class(nu):
             for v in range(r2, min(r2 + k, weight - r2) + 1):
                 product[v] += c
         weight, coeffs = weight + k, product
-    return SchurClass(weight, {TwoRowPartition(weight - r2, r2): c for r2, c in enumerate(coeffs)})
+    return coeffs
 
 
 def factorial_of_multiplicities(partition):

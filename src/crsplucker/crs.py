@@ -19,7 +19,7 @@ import os
 from fractions import Fraction
 from typing import NamedTuple
 
-from .combinat import InputPartition, complete_homogeneous_class, factorial_of_multiplicities
+from .combinat import InputPartition, complete_homogeneous_coefficients, factorial_of_multiplicities
 from .exactalg import DPoly, dpoly_from_coeff_strings, dpoly_shift, dpoly_to_coeff_strings
 from .symfunc import SchurClass, TwoRowPartition, class_product, split_shift, unit_class, weighted_divdiff
 
@@ -134,12 +134,14 @@ def _validate_class(partition, schur_class):
 
 
 def top_degree_class(lam):
-    """The coefficient of d^|lambda| of the whole class: (1/prod e_i!) times
-    the complete homogeneous class of the reduction."""
+    """The coefficient of d^|lambda| of the whole class, as a SchurClass of
+    constants: h_nu of the reduction nu over prod e_i!, so the coefficient of
+    s_(c-j, j) is K_((c-j, j), nu) / prod e_i!."""
     if lam.is_empty():
         raise ValueError("requires a nonempty partition")
-    scale = Fraction(1, factorial_of_multiplicities(lam))
-    return complete_homogeneous_class(lam.reduction).scale(scale)
+    scale, c = factorial_of_multiplicities(lam), lam.codim
+    coeffs = complete_homogeneous_coefficients(lam.reduction)
+    return SchurClass(c, {TwoRowPartition(c - j, j): Fraction(k, scale) for j, k in enumerate(coeffs)})
 
 
 def top_degree_slice(schur_class, degree):

@@ -141,16 +141,11 @@ def dpoly_shift(p, delta):
 # -- canonical text/JSON rendering ----------------------------------------
 
 
-def format_rat(r):
-    """Canonical "num/den" text for a rational ("num" when den = 1)."""
-    return str(r) if type(r) is int else str(Fraction(r))
-
-
 def dpoly_to_coeff_strings(p):
     """Dense coefficient list from exponent 0 upward, each a rational string."""
     if p.is_zero():
         return []
-    return [format_rat(p.coefficient(e)) for e in range(p.degree + 1)]
+    return [str(p.coefficient(e)) for e in range(p.degree + 1)]
 
 
 def dpoly_from_coeff_strings(strings):
@@ -176,10 +171,10 @@ def format_dpoly(p, var="d"):
         sign = "-" if c < 0 else "+"
         mag = abs(c)
         if e == 0:
-            body = format_rat(mag)
+            body = str(mag)
         else:
             dpart = var if e == 1 else f"{var}^{e}"
-            body = dpart if mag == 1 else f"{format_rat(mag)}*{dpart}"
+            body = dpart if mag == 1 else f"{mag}*{dpart}"
         if not pieces:
             pieces.append(body if c > 0 else f"-{body}")
         else:

@@ -12,7 +12,7 @@ from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
-from .exactalg import DPoly, ONE, dpoly
+from .exactalg import DPoly, ONE
 
 
 class TwoRowPartition(NamedTuple):
@@ -141,26 +141,26 @@ def class_product(left, right):
 
 
 def shift_both(rho):
-    """Expand s_rho(a+x, b+x) as a polynomial in x.
+    """Expand s_rho(a+x, b+x) as a polynomial in x, as a table of ints.
 
-    Returns a list [C_0, ..., C_w], w = weight(rho), with
-    s_rho(a+x, b+x) = sum_s x^s C_s(a,b).  C_s has weight w - s, C_0 = s_rho,
-    and all coefficients are nonnegative integers.  The coefficient of
-    s_(u,v) in C_s is binom(k+1,u+1)binom(l,v) - binom(k+1,v)binom(l,u+1)
-    for (k,l) = rho and u + v = w - s.
+    With w = weight(rho) and s_rho(a+x, b+x) = sum_s x^s C_s(a,b), returns
+    the list [C_0, ..., C_w]: C_s is a dict {v: c}, c the coefficient of
+    s_(w-s-v, v) in C_s, a positive int (zero entries are left out).  C_0 is
+    {l: 1} for rho = (k, l).  The coefficient is
+    binom(k+1,u+1)binom(l,v) - binom(k+1,v)binom(l,u+1) with u = w - s - v.
     """
     k, l = rho
     w = k + l
     out = []
     for s in range(w + 1):
         tw = w - s
-        terms = {}
+        row = {}
         for v in range(tw // 2 + 1):
             u = tw - v
             c = comb(k + 1, u + 1) * comb(l, v) - comb(k + 1, v) * comb(l, u + 1)
             if c:
-                terms[TwoRowPartition(u, v)] = dpoly(c)
-        out.append(SchurClass(tw, terms))
+                row[v] = c
+        out.append(row)
     return out
 
 
@@ -172,12 +172,13 @@ def split_shift(schur_class):
     w = schur_class.weight
     buckets = [dict() for _ in range(w + 1)]
     for rho, q in schur_class._terms.items():
-        for t, ct in enumerate(shift_both(rho)):
-            bucket = buckets[t]
-            for sigma, c in ct._terms.items():
-                scaled = q * c.coefficient(0)
-                bucket[sigma] = bucket.get(sigma, DPoly()) + scaled
-    return [SchurClass(w - t, b) for t, b in enumerate(buckets)]
+        for bucket, row in zip(buckets, shift_both(rho)):
+            for v, c in row.items():
+                bucket[v] = bucket.get(v, DPoly()) + q * c
+    return [
+        SchurClass(w - t, {TwoRowPartition(w - t - v, v): coeff for v, coeff in b.items()})
+        for t, b in enumerate(buckets)
+    ]
 
 
 @lru_cache(maxsize=None)

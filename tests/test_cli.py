@@ -1,17 +1,23 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import crsplucker.cli
 import crsplucker.crs
 import crsplucker.plucker
 from crsplucker.cli import main, run_verification
-from crsplucker.combinat import InputPartition
+from crsplucker.combinat import InputPartition, enumerate_partitions_no_ones
 from crsplucker.crs import ClassCache, crs_class
 from crsplucker.exactalg import DPoly, dpoly
 from crsplucker.symfunc import SchurClass
@@ -23,20 +29,41 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def src_env():
+    return {**os.environ, "PYTHONPATH": str(Path(crsplucker.cli.__file__).parents[1])}
+
+
 def test_cli_import_pulls_in_no_dataclasses():
     # every CLI start pays for what the import graph holds; -S keeps site's
     # own imports out of the picture
-    src = str(Path(crsplucker.cli.__file__).parents[1])
     code = "import sys, crsplucker.cli; print(sorted(set(sys.argv[1:]) & set(sys.modules)))"
     heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
     done = subprocess.run(
         [sys.executable, "-S", "-c", code, *heavy],
-        env={**os.environ, "PYTHONPATH": src},
+        env=src_env(),
         capture_output=True,
         text=True,
         check=True,
     )
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["plucker", "4,3,2"], ["plucker", "2,2", "--codim", "0", "--eval", "4"]],
+    ids=["unbuffered-write", "flush-at-exit"],
+)
+def test_closed_stdout_exits_141_quietly(argv):
+    child = subprocess.Popen(
+        [sys.executable, "-m", "crsplucker.cli", *argv],
+        env=src_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    child.stdout.close()  # the child is still importing: nothing is written yet
+    err = child.stderr.read()
+    child.stderr.close()
+    assert (child.wait(timeout=60), err) == (141, b"")
 
 
 class TestClassCommand:
@@ -64,6 +91,11 @@ class TestClassCommand:
         from crsplucker.combinat import InputPartition
 
         assert class_from_json(doc) == crs_class(InputPartition((2, 2)))
+
+    def test_pivot_flag_rejected(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["class", "3", "--pivot", "max"])
+        assert exc.value.code == 2
 
     def test_latex(self, capsys):
         code, out, _ = run(capsys, "class", "2", "--format", "latex")
@@ -402,6 +434,15 @@ class TestCacheFile:
         assert len(err.strip().splitlines()) == 1 and "warning" in err
         assert "2,2" in json.loads(path.read_text())
 
+    def test_deeply_nested_file_recomputed_with_warning(self, capsys, tmp_path):
+        # deeper than the JSON decoder's recursion limit
+        path = tmp_path / "classes.json"
+        path.write_text("[" * 200000 + "]" * 200000)
+        code, out, err = run(capsys, "--cache", str(path), "plucker", "2,2", "--codim", "0", "--eval", "4")
+        assert (code, out.strip()) == (0, "28")
+        assert len(err.strip().splitlines()) == 1 and err.startswith("warning:")
+        assert "2,2" in json.loads(path.read_text())
+
     def test_unchanged_file_not_rewritten(self, capsys, tmp_path):
         path = tmp_path / "classes.json"
         run(capsys, "--cache", str(path), "class", "4,2")
@@ -430,3 +471,70 @@ class TestCacheFile:
         code, _, _ = run(capsys, "class", "3")
         assert code == 0
         assert path.exists()
+
+
+# -- damaged cache files: any structural damage is dropped or warned about --------
+
+
+@lru_cache(maxsize=None)
+def valid_cache_text():
+    cache = ClassCache()
+    for lam in enumerate_partitions_no_ones(8):
+        crs_class(lam, cache=cache)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "classes.json")
+        cache.save(path)
+        return Path(path).read_text()
+
+
+def node_paths(node, path=()):
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from node_paths(child, path + (key,))
+
+
+def replace_node(doc, path, value):
+    if not path:
+        return value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+@st.composite
+def damaged_cache_texts(draw):
+    """A valid cache file of weight <= 8 with one structural damage, never a changed value."""
+    text = valid_cache_text()
+    kind = draw(st.sampled_from(["truncate", "nest", "replace"]))
+    if kind == "truncate":
+        return text[: draw(st.integers(0, len(text) - 1))]
+    doc = json.loads(text)
+    path = draw(st.sampled_from(list(node_paths(doc))))
+    node = json.loads(text)
+    for key in path:
+        node = node[key]
+    if kind == "nest":
+        depth = draw(st.integers(1, 200000))
+        marker = "\x00nested\x00"
+        nested = "[" * depth + json.dumps(node) + "]" * depth
+        return json.dumps(replace_node(doc, path, marker)).replace(json.dumps(marker), nested)
+    other = [[]] if isinstance(node, dict) else [{}] if isinstance(node, list) else [[], {}]
+    value = draw(st.sampled_from([None, "not a number", *other]))
+    return json.dumps(replace_node(doc, path, value))
+
+
+@settings(max_examples=80, deadline=None)
+@given(damaged_cache_texts())
+def test_damaged_cache_file_still_gives_the_count(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "classes.json")
+        Path(path).write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["--cache", path, "plucker", "2,2", "--codim", "0", "--eval", "4"])
+    assert (code, out.getvalue()) == (0, "28\n")
+    lines = err.getvalue().splitlines()
+    assert len(lines) <= 1 and all(line.startswith("warning:") for line in lines)

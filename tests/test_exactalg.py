@@ -13,7 +13,6 @@ from crsplucker.exactalg import (
     dpoly_shift,
     dpoly_to_coeff_strings,
     format_dpoly,
-    format_rat,
 )
 
 NEG_INF = float("-inf")
@@ -149,11 +148,6 @@ class TestRingAxioms:
 
 
 class TestRendering:
-    def test_rat_strings(self):
-        assert format_rat(Fraction(3)) == "3"
-        assert format_rat(Fraction(-1, 2)) == "-1/2"
-        assert format_rat(-12) == "-12"
-
     def test_coeff_strings(self):
         p = dpoly(0, Fraction(-1, 2), 1)
         assert dpoly_to_coeff_strings(p) == ["0", "-1/2", "1"]
