@@ -6,9 +6,10 @@ Subcommands:
   verify   sweep all partitions up to a weight and run the consistency checks
 
 Exit codes: 0 success, 1 verification failure (including a MISMATCH row
-printed by plucker), 2 bad input/flags or an unusable --cache path, 3
-internal assertion failure (an ArithmeticError: a divisibility violation, or
-a count that is not a nonnegative integer), 4 evaluation below the validity
+printed by plucker, and a divisibility violation met by verify), 2 bad
+input/flags or an unusable --cache path, 3 internal assertion failure in
+class or plucker (an ArithmeticError: a divisibility violation, or a count
+that is not a nonnegative integer), 4 evaluation below the validity
 floor, 141 stdout closed by its reader (128 + SIGPIPE, as a shell reports a
 process that SIGPIPE ends; nothing is printed).
 Stdout carries data, stderr diagnostics.
@@ -21,8 +22,8 @@ import json
 import os
 import sys
 
-from .combinat import InputPartition, enumerate_partitions_no_ones
-from .crs import DEFAULT_POLICY, ClassCache, check_top_degree, class_to_json, class_via, crs_class
+from .combinat import InputPartition, enumerate_partitions_no_ones, factorial_of_multiplicities
+from .crs import ClassCache, DivisibilityViolation, check_top_degree, class_to_json, crs_class, rows_at, step_at
 from .exactalg import dpoly_to_coeff_strings, format_dpoly
 from .plucker import BelowValidityFloor, index_to_j, plucker_formulas, plucker_value, ym_class_closed_form
 
@@ -159,18 +160,47 @@ class CheckResult:
             self.failures.append(witness)
 
 
+def pivot_witness(lam, cls, cache):
+    """None when every removal order gives `cls`, else the failure witness.
+
+    For each distinct part m, one step_at from the cached class of
+    lambda - (m) at d = B - m must give the rows of Q = prod e_i! * cls at
+    d = B = 2^K.  K is chosen so that B > 1 + M + H, where M, the largest
+    step_at majorant, bounds every coefficient of each polynomial step and H,
+    the largest row 1-norm of Q, bounds every coefficient of Q.
+    A nonzero integer polynomial of height at most M + H has no root that
+    large (Cauchy's bound), so equal values mean equal classes: the check is
+    exact.
+    """
+    scale, subs, bound = factorial_of_multiplicities(lam), [], 0
+    try:
+        for m in sorted(set(lam.parts)):
+            smaller = lam.remove(m)
+            sub = (crs_class(smaller, cache=cache), factorial_of_multiplicities(smaller))
+            subs.append((m, smaller.codim, sub))
+            bound = max(bound, *step_at(rows_at(*sub, 1 + m, abs), smaller.codim, m, 1 + m, majorant=True))
+        x = 1 << (bound + max(rows_at(cls, scale, 1, abs)) + 1).bit_length()
+        target = rows_at(cls, scale, x)
+        for m, weight, sub in subs:
+            if step_at(rows_at(*sub, x - m), weight, m, x - m) != target:
+                return (str(lam), f"pivot-independence via {m}", "identical classes", "diverged")
+    except DivisibilityViolation as exc:
+        return (str(lam), f"pivot-independence via {m}", "exact division", str(exc))
+    return None
+
+
 def run_verification(max_weight, cache=None):
     """Sweep all partitions without 1's of weight <= max_weight and run the
     pivot-independence, closed-form, top-degree and leading-term checks.
 
-    Pivot independence: for every partition lambda and every distinct part m,
-    one recursion step from the cached class of lambda - (m) must give the
-    cached class of lambda.  Every lambda - (m) is itself in the sweep, so by
-    induction on the number of parts every removal order gives the cached
-    class, and every class loaded from a cache file is derived again.  A
-    class computed in this sweep was built by exactly that step along the
-    default policy's pivot (the sweep ascends in weight, so lambda - (m) is
-    already cached), so that step is not taken twice.
+    Classes are built by the polynomial recursion on the shared cache.
+    Pivot independence (pivot_witness): for every partition lambda and every
+    distinct part m, one exact integer step from the cached class of
+    lambda - (m) must give the cached class of lambda.  Every lambda - (m)
+    is itself in the sweep, so by induction on the number of parts every
+    removal order gives the cached class, and every class loaded from a cache
+    file is checked.  A DivisibilityViolation while building lambda fails
+    its pivot-independence check; lambda is not cached and the sweep goes on.
 
     Returns a list of CheckResult, one per check.
     """
@@ -183,13 +213,13 @@ def run_verification(max_weight, cache=None):
     leading = CheckResult("leading-term")
 
     for lam in partitions:
-        computed = cache.get(lam) is None
-        cls = crs_class(lam, cache=cache)
-
-        # pivot independence: one step per distinct part off the shared cache
-        pivots = set(lam.parts) - {DEFAULT_POLICY.choose(lam.parts)} if computed else set(lam.parts)
-        ok = all(class_via(lam, m, cache) == cls for m in pivots)
-        pivot_check.record(ok, (str(lam), "pivot-independence", "identical classes", "diverged"))
+        try:
+            cls = crs_class(lam, cache=cache)
+        except DivisibilityViolation as exc:
+            pivot_check.record(False, (str(lam), "pivot-independence", "exact division", str(exc)))
+            continue
+        witness = pivot_witness(lam, cls, cache)
+        pivot_check.record(witness is None, witness)
 
         # single-part closed form
         if len(lam.parts) == 1:

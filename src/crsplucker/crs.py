@@ -17,11 +17,15 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
+from itertools import accumulate
 from typing import NamedTuple
 
 from .combinat import InputPartition, complete_homogeneous_coefficients, factorial_of_multiplicities
 from .exactalg import DPoly, dpoly_from_coeff_strings, dpoly_shift, dpoly_to_coeff_strings
-from .symfunc import SchurClass, TwoRowPartition, class_product, split_shift, unit_class, weighted_divdiff
+from .symfunc import (
+    SchurClass, TwoRowPartition, class_product, linear_factor_expansion, monomial_divdiff, shift_both,
+    split_shift, unit_class, weighted_divdiff,
+)
 
 
 class DivisibilityViolation(ArithmeticError):
@@ -33,7 +37,7 @@ class PivotPolicy(NamedTuple):
     applied to the parts.
 
     The computed class is independent of this choice; `verify` checks every
-    removal order with class_via, one step per distinct part.
+    removal order with step_at, one integer step per distinct part.
     """
 
     choose: object
@@ -245,3 +249,57 @@ def class_via(partition, m, cache, policy=DEFAULT_POLICY):
     if (scale := factorial_of_multiplicities(partition)) != 1:
         result = result.scale(Fraction(1, scale))
     return result
+
+
+def step_at(values, weight, m, z, majorant=False):
+    """recursion_step at one point, in int arithmetic.
+
+    `values` lists, by r2, prod e_i! * [Y_lambda'] at d = z, where weight is
+    codim(lambda'); returns the list, by r2, of prod e_i! * [Y_lambda] at
+    d = z + m, lambda = lambda' + (m).  The substitution d -> d - m is the
+    offset between the two points.  Each bucket of B_t(z) is divided by z^t
+    exactly, or DivisibilityViolation is raised.
+
+    With majorant=True the signs of A_t are dropped and the division rounds
+    up.  Given rows_at(Y', 1 + m, abs) at z = 1 + m, each entry then bounds
+    the sum of the absolute values of that row's d-coefficients: the split
+    constants and the coefficients of each e_f are nonnegative,
+    |B / d^t|(y) = |B|(y) / y^t and |p(d - m)|(1) <= |p|(1 + m).
+    """
+    if m < 2:
+        raise ValueError("need m >= 2")
+    buckets = [{} for _ in range(weight + 1)]
+    for r2, q in enumerate(values):
+        for bucket, row in zip(buckets, shift_both((weight - r2, r2))):
+            for v, c in row.items():
+                bucket[v] = bucket.get(v, 0) + c * q
+    e = [sum(c * z**k for k, c in p.coeffs.items()) for p in linear_factor_expansion(m)]
+    out = [0] * ((weight + m + 3) // 2)  # one more than the (weight + m - 1) // 2 + 1 rows
+    for t, bucket in enumerate(buckets):
+        a_t = {}
+        for f in range(1, m + 1):
+            sign, rho = monomial_divdiff(t + m - f, f)
+            if sign:
+                a_t[rho] = a_t.get(rho, 0) + (e[f] if majorant else sign * e[f])
+        for v, b in bucket.items():
+            q, r = divmod(b, z**t)
+            if r and not majorant:
+                raise DivisibilityViolation(f"z^{t} does not divide B_{t} at s_{(weight - t - v, v)}")
+            q = (q + (r > 0)) * m**t  # rounded up; r is 0 unless majorant
+            k = weight - t - v
+            for (i, j), c in a_t.items():
+                lo, hi = j + v, min(i + v, j + k)
+                if lo <= hi:
+                    out[lo] += c * q
+                    out[hi + 1] -= c * q
+    return list(accumulate(out))[:-1]
+
+
+def rows_at(schur_class, scale, x, coeff=int):
+    """The list, by r2, of scale * schur_class at d = x, by Horner; with
+    coeff=abs, of the class with each coefficient replaced by its absolute value."""
+    rows = [0] * (schur_class.weight // 2 + 1)
+    for rho, p in schur_class.items():
+        for e in range(p.degree, -1, -1):
+            rows[rho.r2] = rows[rho.r2] * x + coeff(int(p.coefficient(e) * scale))
+    return rows

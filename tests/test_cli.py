@@ -17,8 +17,8 @@ import crsplucker.cli
 import crsplucker.crs
 import crsplucker.plucker
 from crsplucker.cli import main, run_verification
-from crsplucker.combinat import InputPartition, enumerate_partitions_no_ones
-from crsplucker.crs import ClassCache, crs_class
+from crsplucker.combinat import InputPartition, enumerate_partitions_no_ones, factorial_of_multiplicities
+from crsplucker.crs import ClassCache, crs_class, rows_at
 from crsplucker.exactalg import DPoly, dpoly
 from crsplucker.symfunc import SchurClass
 
@@ -228,35 +228,63 @@ class TestVerifyCommand:
 
     def test_fault_only_a_middle_removal_order_reaches(self, capsys, monkeypatch):
         # (4,2) + (3) is reached only when (4,3,2) removes its 3 first
-        real = crsplucker.crs.recursion_step
+        real = crsplucker.cli.step_at
         four_two = crs_class(InputPartition((4, 2)))
 
-        def broken(y_prime, m):
-            result = real(y_prime, m)
-            return result.scale(2) if m == 3 and y_prime == four_two else result
+        def broken(values, weight, m, z, majorant=False):
+            result = real(values, weight, m, z, majorant)
+            hit = m == 3 and not majorant and values == rows_at(four_two, 1, z)
+            return [2 * v for v in result] if hit else result
 
-        monkeypatch.setattr(crsplucker.crs, "recursion_step", broken)
+        monkeypatch.setattr(crsplucker.cli, "step_at", broken)
         code, _, err = run(capsys, "verify", "--max-weight", "9")
         assert code == 1
-        assert "(4,3,2)" in err and "pivot-independence" in err
+        assert err.strip().splitlines() == [
+            "first failure: partition (4,3,2), check pivot-independence via 3:"
+            " expected identical classes, got diverged"
+        ]
 
-    def test_step_just_taken_is_not_repeated(self, monkeypatch):
-        # 76 partitions, 139 distinct parts: cold computes each class along its
-        # smallest part and checks the other parts, warm re-derives every part
-        calls = []
-        real = crsplucker.crs.recursion_step
+    def test_warm_run_takes_integer_steps_only(self, monkeypatch):
+        # 76 partitions, 139 distinct parts: cold builds each class by one
+        # polynomial step, and both runs check every part by one integer step
+        steps, points = [], []
+        real_step, real_point = crsplucker.crs.recursion_step, crsplucker.cli.step_at
 
-        def counting(y_prime, m):
-            calls.append(m)
-            return real(y_prime, m)
+        def counting_step(y_prime, m):
+            steps.append(m)
+            return real_step(y_prime, m)
 
-        monkeypatch.setattr(crsplucker.crs, "recursion_step", counting)
+        def counting_point(values, weight, m, z, majorant=False):
+            if not majorant:
+                points.append(m)
+            return real_point(values, weight, m, z, majorant)
+
+        monkeypatch.setattr(crsplucker.crs, "recursion_step", counting_step)
+        monkeypatch.setattr(crsplucker.cli, "step_at", counting_point)
         cache = ClassCache()
-        run_verification(12, cache)
-        assert len(calls) == 139
-        calls.clear()
-        run_verification(12, cache)
-        assert len(calls) == 139
+        for polynomial_steps in (76, 0):
+            steps.clear()
+            points.clear()
+            assert all(r.failures == [] for r in run_verification(12, cache))
+            assert (len(steps), len(points)) == (polynomial_steps, 139)
+
+    def test_wrong_class_vanishing_at_a_power_of_two_fails(self):
+        # 2! * (the class of (2,2)) plus d^j (d - 2^k) in one row differs from
+        # the true one only at d = 2^k.  In s_(1,1) with j = 1 and k = 5 that
+        # row is d^4 - 2d^3 - 8d^2 - 14d, of 1-norm 25, so 2^k is the first
+        # power of two above the wrong class's own bound: the check's point
+        # must also clear the bound on the step's side
+        lam = InputPartition((2, 2))
+        for rho in ((2, 0), (1, 1)):
+            for j in range(3):
+                for k in range(1, 70):
+                    cache = ClassCache()
+                    for smaller in enumerate_partitions_no_ones(3):
+                        crs_class(smaller, cache=cache)
+                    wrong = SchurClass(2, {rho: DPoly({j: Fraction(-(2**k), 2), j + 1: Fraction(1, 2)})})
+                    cache.put(lam, crs_class(lam) + wrong)
+                    pivot = run_verification(4, cache)[0]
+                    assert [w[:2] for w in pivot.failures] == [("(2,2)", "pivot-independence via 2")], (rho, j, k)
 
     def test_leading_term_failure_names_the_expectation_once(self, capsys, monkeypatch):
         real = crsplucker.plucker.predicted_leading
@@ -361,6 +389,25 @@ class TestCacheFile:
         code, _, err = run(capsys, "--cache", str(path), "verify", "--max-weight", "4")
         assert code == 1
         assert "(2,2)" in err and "pivot-independence" in err
+
+    def test_class_built_on_a_wrong_entry_fails_verify(self, capsys, tmp_path):
+        # the same +1 entry: (2,2,2) is built from it, and its B_1 is not
+        # divisible by d; that fails (2,2,2)'s check instead of exiting 3
+        path = tmp_path / "classes.json"
+        run(capsys, "--cache", str(path), "plucker", "2,2")
+        doc = json.loads(path.read_text())
+        coeff = doc["2,2"]["terms"][0]["coeff"]
+        coeff[0] = str(Fraction(coeff[0]) + 1)
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "--cache", str(path), "verify", "--max-weight", "8", "--format", "json")
+        assert code == 1
+        assert err.strip().splitlines() == [
+            "first failure: partition (2,2), check pivot-independence via 2:"
+            " expected identical classes, got diverged"
+        ]
+        checks = {c["name"]: (c["passed"], c["failed"]) for c in json.loads(out)["checks"]}
+        assert checks["pivot-independence"] == (16, 5)
+        assert "2,2,2" not in json.loads(path.read_text())
 
     def test_non_integral_count_exits_3(self, capsys, tmp_path):
         # +1/2 on the d^0 coefficient of s_(2,0): 2! times the class is still
@@ -538,3 +585,48 @@ def test_damaged_cache_file_still_gives_the_count(text):
     assert (code, out.getvalue()) == (0, "28\n")
     lines = err.getvalue().splitlines()
     assert len(lines) <= 1 and all(line.startswith("warning:") for line in lines)
+
+
+# -- wrong cache values: verify names the damaged entry ------------------------
+
+
+@lru_cache(maxsize=None)
+def valid_cache_doc_10():
+    cache = ClassCache()
+    for lam in enumerate_partitions_no_ones(10):
+        crs_class(lam, cache=cache)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "classes.json")
+        cache.save(path)
+        return Path(path).read_text()
+
+
+@st.composite
+def perturbed_cache_files(draw):
+    """A valid cache file of weight <= 10 with one coefficient below the top
+    d-degree of one entry moved by a nonzero multiple of 1/prod e_i!, so the
+    entry still loads; returns the file and the entry's partition."""
+    doc = json.loads(valid_cache_doc_10())
+    key = draw(st.sampled_from(sorted(doc)))
+    lam = InputPartition.parse(key)
+    coeff = draw(st.sampled_from(doc[key]["terms"]))["coeff"]
+    e = draw(st.integers(0, lam.weight - 1))
+    coeff.extend(["0"] * (e + 1 - len(coeff)))
+    delta = draw(st.integers(-3, 3).filter(bool))
+    coeff[e] = str(Fraction(coeff[e]) + Fraction(delta, factorial_of_multiplicities(lam)))
+    return json.dumps(doc), lam
+
+
+@settings(max_examples=25, deadline=None)
+@given(perturbed_cache_files())
+def test_wrong_cache_value_fails_verify_at_its_partition(case):
+    text, lam = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "classes.json")
+        Path(path).write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["--cache", path, "verify", "--max-weight", "10"])
+    lines = err.getvalue().splitlines()
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith(f"first failure: partition {lam}, check pivot-independence via ")

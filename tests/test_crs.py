@@ -1,6 +1,7 @@
 import hashlib
 import json
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -20,6 +21,8 @@ from crsplucker.crs import (
     crs_class,
     divide_by_d_power,
     recursion_step,
+    rows_at,
+    step_at,
 )
 from crsplucker.exactalg import DPoly, dpoly, dpoly_eval
 from crsplucker.plucker import top_degree_class, top_degree_slice, ym_class_closed_form
@@ -91,6 +94,64 @@ class TestRecursionStep:
         for result in results:
             for _, coeff in result.items():
                 assert all(type(c) is int for c in coeff.coeffs.values()), result
+
+
+@lru_cache(maxsize=None)
+def cache_to_weight_16():
+    cache = ClassCache()
+    for lam in enumerate_partitions_no_ones(16):
+        crs_class(lam, cache=cache)
+    return cache
+
+
+def removal_steps(max_weight):
+    """lambda, m, lambda - (m) and the classes of lambda and lambda - (m),
+    each with its prod e_i!, for every partition of weight <= max_weight <= 16
+    and every distinct part m."""
+    cache = cache_to_weight_16()
+    for lam in enumerate_partitions_no_ones(max_weight):
+        for m in sorted(set(lam.parts)):
+            smaller = lam.remove(m)
+            yield (
+                lam, m, smaller,
+                (crs_class(lam, cache=cache), factorial_of_multiplicities(lam)),
+                (crs_class(smaller, cache=cache), factorial_of_multiplicities(smaller)),
+            )
+
+
+class TestStepAt:
+    # step_at maps prod e_i! * [Y_lambda'] at z to prod e_i! * [Y_lambda] at z + m
+    def test_equals_the_class_at_a_point(self):
+        pairs = 0
+        for lam, m, smaller, cls, sub in removal_steps(14):
+            for x in (lam.weight, lam.weight + 7, 10**12 + 3):
+                assert step_at(rows_at(*sub, x - m), smaller.codim, m, x - m) == rows_at(*cls, x), (lam, m, x)
+            pairs += 1
+        assert pairs == 272
+
+    def test_majorant_bounds_each_row_1_norm(self):
+        for lam, m, smaller, cls, sub in removal_steps(16):
+            majorant = step_at(rows_at(*sub, 1 + m, abs), smaller.codim, m, 1 + m, majorant=True)
+            norms = rows_at(*cls, 1, abs)
+            assert len(majorant) == len(norms)
+            assert all(bound >= norm for bound, norm in zip(majorant, norms)), (lam, m)
+
+    def test_single_part_from_the_unit_class(self):
+        assert step_at([1], 0, 2, 5) == rows_at(y2(), 1, 7)
+
+    def test_violation_raises_and_majorant_rounds_up(self):
+        # s_(1,0)(a+x, b+x) = s_(1,0) + 2x, so a value 1 of s_(1,0) at z = 3
+        # gives B_1 = 2, not divisible by 3.  The majorant rounds 2/3 up to 1:
+        # at z = 3, e_1 = z + 2 = 5 and e_2 = (z + 2)(z + 1) = 20, so
+        # A_0 = 20 s_(1,0) adds 20 to both rows and |A_1| = 25 s_(1,1), times
+        # m * 1 = 2, adds 50 to row 1
+        with pytest.raises(DivisibilityViolation):
+            step_at([1], 1, 2, 3)
+        assert step_at([1], 1, 2, 3, majorant=True) == [20, 70]
+
+    def test_rejects_bad_args(self):
+        with pytest.raises(ValueError):
+            step_at([1], 0, 1, 5)
 
 
 class TestDivisibility:
