@@ -160,7 +160,7 @@ class CheckResult:
             self.failures.append(witness)
 
 
-def pivot_witness(lam, cls, cache):
+def pivot_witness(lam, cls, cache, unbuilt):
     """None when every removal order gives `cls`, else the failure witness.
 
     For each distinct part m, one step_at from the cached class of
@@ -171,11 +171,16 @@ def pivot_witness(lam, cls, cache):
     A nonzero integer polynomial of height at most M + H has no root that
     large (Cauchy's bound), so equal values mean equal classes: the check is
     exact.
+
+    A removal order through a partition in `unbuilt`, whose class did not
+    build, fails without a step.
     """
     scale, subs, bound = factorial_of_multiplicities(lam), [], 0
     try:
         for m in sorted(set(lam.parts)):
             smaller = lam.remove(m)
+            if smaller in unbuilt:
+                return (str(lam), f"pivot-independence via {m}", "exact division", f"no class for {smaller}")
             sub = (crs_class(smaller, cache=cache), factorial_of_multiplicities(smaller))
             subs.append((m, smaller.codim, sub))
             bound = max(bound, *step_at(rows_at(*sub, 1 + m, abs), smaller.codim, m, 1 + m, majorant=True))
@@ -201,6 +206,8 @@ def run_verification(max_weight, cache=None):
     removal order gives the cached class, and every class loaded from a cache
     file is checked.  A DivisibilityViolation while building lambda fails
     its pivot-independence check; lambda is not cached and the sweep goes on.
+    A later lambda built or checked through it fails the same check without
+    stepping again, and its witness names the partition that did not build.
 
     Returns a list of CheckResult, one per check.
     """
@@ -211,14 +218,21 @@ def run_verification(max_weight, cache=None):
     closed_form = CheckResult("closed-form-single-part")
     top_degree = CheckResult("top-degree")
     leading = CheckResult("leading-term")
+    unbuilt = set()  # partitions whose class raised, or was to be built from one that did
 
     for lam in partitions:
+        sub = lam.remove(min(lam.parts))  # crs_class builds lam from it
+        if sub in unbuilt:
+            unbuilt.add(lam)
+            pivot_check.record(False, (str(lam), "pivot-independence", "exact division", f"no class for {sub}"))
+            continue
         try:
             cls = crs_class(lam, cache=cache)
         except DivisibilityViolation as exc:
+            unbuilt.add(lam)
             pivot_check.record(False, (str(lam), "pivot-independence", "exact division", str(exc)))
             continue
-        witness = pivot_witness(lam, cls, cache)
+        witness = pivot_witness(lam, cls, cache, unbuilt)
         pivot_check.record(witness is None, witness)
 
         # single-part closed form
@@ -292,8 +306,14 @@ def cmd_verify(args):
         return EXIT_BAD_INPUT
     cache = open_cache(args.cache)
     results = run_verification(args.max_weight, cache=cache)
+    partitions = enumerate_partitions_no_ones(args.max_weight)
+    # an entry that failed a check is not written back, so no later run serves it
+    failed = {w[0] for r in results for w in r.failures}
+    for lam in partitions:
+        if str(lam) in failed:
+            cache.discard(lam)
     save_cache(cache, args.cache)
-    n_partitions = len(enumerate_partitions_no_ones(args.max_weight))
+    n_partitions = len(partitions)
     if args.format == "json":
         print(
             json.dumps(

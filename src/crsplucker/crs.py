@@ -77,6 +77,11 @@ class ClassCache:
         self._data[partition.canonical_string()] = schur_class
         self._loaded_from = None
 
+    def discard(self, partition):
+        """Drop the entry of `partition`, if any."""
+        if self._data.pop(partition.canonical_string(), None) is not None:
+            self._loaded_from = None
+
     def __len__(self):
         return len(self._data)
 

@@ -115,29 +115,31 @@ def monomial_divdiff(i, j):
     return -1, TwoRowPartition(i - 1, j)
 
 
-def schur_product_support(rho, sigma):
-    """The interval of two-row partitions appearing in s_rho * s_sigma.
-
-    Runs from (rho1+sigma1, rho2+sigma2) to the balanced endpoint, stepping
-    the second row by 1; every member has multiplicity one.
-    """
-    i, j = rho
-    k, l = sigma
-    total = i + j + k + l
-    lo = j + l
-    hi = min(i + l, j + k)
-    return [TwoRowPartition(total - v, v) for v in range(lo, hi + 1)]
-
-
 def class_product(left, right):
-    """Bilinear extension of schur_product_support to whole classes."""
-    out = {}
-    for rho, c1 in left._terms.items():
-        for sigma, c2 in right._terms.items():
+    """The product of two classes, bilinear in their terms.
+
+    By the Pieri rule s_(i,j) * s_(k,l) is the sum of s_(w-v, v),
+    w = i + j + k + l, over the interval j + l <= v <= min(i + l, j + k),
+    each with multiplicity one.  Each pair's product is added at the
+    interval's first row and subtracted one past its last, unless that is
+    the balanced row w // 2; the rows are one running sum over v.
+    """
+    w = left.weight + right.weight
+    top = w // 2
+    diff = {}
+    for (i, j), c1 in left._terms.items():
+        for (k, l), c2 in right._terms.items():
             c = c1 * c2
-            for tau in schur_product_support(rho, sigma):
-                out[tau] = out.get(tau, DPoly()) + c
-    return SchurClass(left.weight + right.weight, out)
+            lo, hi = j + l, min(i + l, j + k)
+            diff[lo] = diff[lo] + c if lo in diff else c
+            if hi < top:
+                diff[hi + 1] = diff[hi + 1] - c if hi + 1 in diff else -c
+    out, acc = {}, DPoly()
+    for v in range(min(diff, default=top + 1), top + 1):
+        if v in diff:
+            acc = acc + diff[v]
+        out[TwoRowPartition(w - v, v)] = acc
+    return SchurClass(w, out)
 
 
 def shift_both(rho):

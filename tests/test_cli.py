@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -122,6 +123,15 @@ class TestClassCommand:
         first = run(capsys, "class", "4,3,2", "--format", "json")
         second = run(capsys, "class", "4,3,2", "--format", "json")
         assert first == second
+
+    def test_weight_60_class_byte_identical(self, capsys):
+        # the golden digest stops at weight 16 and the benchmark reference at
+        # 30; this pins one class where Pieri intervals are long
+        code, out, _ = run(capsys, "class", "20,20,20", "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "0d3b92ad9d16dcaee3a1d6aa2ec769be42085782cc8411c0c0d4351dfb1ae099"
+        )
 
 
 class TestPluckerCommand:
@@ -362,6 +372,14 @@ class TestCacheFile:
             term["coeff"] = [coeff(c) for c in term["coeff"]]
         path.write_text(json.dumps(doc))
 
+    def _tamper_two_two_d0(self, capsys, path):
+        # +1 on the d^0 coefficient of s_(2,0) in a correct 2,2 entry
+        run(capsys, "--cache", str(path), "plucker", "2,2")
+        doc = json.loads(path.read_text())
+        coeff = doc["2,2"]["terms"][0]["coeff"]
+        coeff[0] = str(Fraction(coeff[0]) + 1)
+        path.write_text(json.dumps(doc))
+
     def test_non_integral_entry_recomputed(self, capsys, tmp_path):
         # every coefficient divided by 4: well-formed, right weight, but 2! * class is not integral
         path = tmp_path / "classes.json"
@@ -408,6 +426,39 @@ class TestCacheFile:
         checks = {c["name"]: (c["passed"], c["failed"]) for c in json.loads(out)["checks"]}
         assert checks["pivot-independence"] == (16, 5)
         assert "2,2,2" not in json.loads(path.read_text())
+
+    def test_entry_that_failed_verify_is_not_written_back(self, capsys, tmp_path):
+        # the +1 entry again: verify drops every partition whose check failed
+        # before it saves, so the next run recomputes (2,2) and counts 12
+        path = tmp_path / "classes.json"
+        self._tamper_two_two_d0(capsys, path)
+        code, _, _ = run(capsys, "--cache", str(path), "verify", "--max-weight", "8")
+        assert code == 1
+        assert "2,2" not in json.loads(path.read_text())
+        code, out, _ = run(capsys, "--cache", str(path), "plucker", "2,2", "--codim", "2", "--eval", "4")
+        assert (code, out.strip()) == (0, "12")
+
+    def test_build_that_raised_is_not_retried(self, capsys, tmp_path, monkeypatch):
+        # with the +1 entry, building (2,2,2) from it raises; every later
+        # partition built or checked through (2,2,2) fails without stepping
+        path = tmp_path / "classes.json"
+        self._tamper_two_two_d0(capsys, path)
+        raised, real = [], crsplucker.crs.recursion_step
+
+        def counting_step(y_prime, m):
+            try:
+                return real(y_prime, m)
+            except crsplucker.crs.DivisibilityViolation:
+                raised.append(m)
+                raise
+
+        monkeypatch.setattr(crsplucker.crs, "recursion_step", counting_step)
+        pivot = run_verification(12, ClassCache.load(path))[0]
+        assert raised == [2]
+        assert (pivot.passed, len(pivot.failures)) == (59, 17)
+        assert pivot.failures[0] == ("(2,2)", "pivot-independence via 2", "identical classes", "diverged")
+        assert ("(2,2,2,2)", "pivot-independence", "exact division", "no class for (2,2,2)") in pivot.failures
+        assert ("(3,2,2,2)", "pivot-independence via 3", "exact division", "no class for (2,2,2)") in pivot.failures
 
     def test_non_integral_count_exits_3(self, capsys, tmp_path):
         # +1/2 on the d^0 coefficient of s_(2,0): 2! times the class is still

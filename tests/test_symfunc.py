@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crsplucker.exactalg import DPoly, dpoly, dpoly_shift
@@ -11,7 +11,6 @@ from crsplucker.symfunc import (
     class_product,
     linear_factor_expansion,
     monomial_divdiff,
-    schur_product_support,
     shift_both,
     split_shift,
     two_row,
@@ -70,26 +69,82 @@ class TestMonomialDivdiff:
             assert got == expected
 
 
+def pieri_interval(rho, sigma):
+    """The two-row partitions of s_rho * s_sigma, each of multiplicity one:
+    from (rho1+sigma1, rho2+sigma2) to the balanced end, the second row
+    stepping by 1."""
+    (i, j), (k, l) = rho, sigma
+    total = i + j + k + l
+    return [TwoRowPartition(total - v, v) for v in range(j + l, min(i + l, j + k) + 1)]
+
+
+def interval_fold(left, right):
+    """class_product as the bilinear extension of pieri_interval, adding each
+    pair's product once per member of its interval."""
+    out = {}
+    for rho, c1 in left.items():
+        for sigma, c2 in right.items():
+            for tau in pieri_interval(rho, sigma):
+                out[tau] = out.get(tau, DPoly()) + c1 * c2
+    return SchurClass(left.weight + right.weight, out)
+
+
+def schur(rho):
+    return SchurClass(rho[0] + rho[1], {TwoRowPartition(*rho): 1})
+
+
 class TestSchurProduct:
     def test_pieri_square(self):
-        assert schur_product_support((1, 0), (1, 0)) == [(2, 0), (1, 1)]
+        assert class_product(schur((1, 0)), schur((1, 0))) == SchurClass(2, {(2, 0): 1, (1, 1): 1})
 
     def test_multiply_by_ab(self):
-        assert schur_product_support((2, 1), (1, 1)) == [(3, 2)]
+        assert class_product(schur((2, 1)), schur((1, 1))) == schur((3, 2))
 
     def test_mixed(self):
-        assert schur_product_support((2, 0), (2, 1)) == [(4, 1), (3, 2)]
+        assert class_product(schur((2, 0)), schur((2, 1))) == SchurClass(5, {(4, 1): 1, (3, 2): 1})
 
     @settings(max_examples=80)
     @given(two_rows(6), two_rows(6))
     def test_against_bialternant_oracle(self, rho, sigma):
         product = mono_mul(schur_monomials(*rho), schur_monomials(*sigma))
         expected = extract_schur(product)
-        support = schur_product_support(rho, sigma)
-        assert {tuple(t): 1 for t in support} == expected
+        assert {tuple(t): 1 for t in pieri_interval(rho, sigma)} == expected
+        assert class_product(schur(rho), schur(sigma)) == SchurClass(rho.weight + sigma.weight, expected)
+
+
+COEFFS = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-3, 2)])
+
+
+@st.composite
+def schur_classes(draw, max_weight=10):
+    """A class of weight <= max_weight whose DPoly coefficients are drawn
+    from a few small int and Fraction values, so products often cancel."""
+    w = draw(st.integers(0, max_weight))
+    rows = draw(st.lists(st.integers(0, w // 2), max_size=w // 2 + 1, unique=True))
+    coeff = st.lists(COEFFS, min_size=1, max_size=3).map(lambda cs: DPoly(dict(enumerate(cs))))
+    return SchurClass(w, {TwoRowPartition(w - v, v): draw(coeff) for v in rows})
+
+
+@st.composite
+def dipoles(draw, max_weight=10):
+    """c * (s_(w-v, v) - s_(w-v-1, v+1)): the two terms' Pieri intervals
+    overlap, so its products often have rows that cancel to zero."""
+    w = draw(st.integers(2, max_weight))
+    v = draw(st.integers(0, w // 2 - 1))
+    c = DPoly(dict(enumerate(draw(st.lists(COEFFS, min_size=1, max_size=3)))))
+    return SchurClass(w, {TwoRowPartition(w - v, v): c, TwoRowPartition(w - v - 1, v + 1): -c})
 
 
 class TestClassProduct:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(schur_classes(), dipoles()), schur_classes())
+    # (s_(2,0) - s_(1,1)) * s_(1,0) = s_(3,0): the last row s_(2,1) cancels
+    @example(SchurClass(2, {(2, 0): 1, (1, 1): -1}), schur((1, 0)))
+    # c (s_(4,0) - s_(3,1)) * s_(1,0) = c (s_(5,0) - s_(3,2)): a middle row cancels
+    @example(SchurClass(4, {(4, 0): dpoly(1, Fraction(1, 2)), (3, 1): dpoly(-1, Fraction(-1, 2))}), schur((1, 0)))
+    def test_equals_interval_fold(self, left, right):
+        assert class_product(left, right) == interval_fold(left, right)
+
     def test_identity(self):
         g = SchurClass(2, {TwoRowPartition(2, 0): dpoly(0, 1), TwoRowPartition(1, 1): dpoly(3)})
         assert class_product(unit_class(), g) == g
