@@ -23,7 +23,9 @@ import os
 import sys
 
 from .combinat import InputPartition, enumerate_partitions_no_ones, factorial_of_multiplicities
-from .crs import ClassCache, DivisibilityViolation, check_top_degree, class_to_json, crs_class, rows_at, step_at
+from .crs import (
+    DEFAULT_POLICY, ClassCache, DivisibilityViolation, check_top_degree, class_to_json, crs_class, rows_at, step_at,
+)
 from .exactalg import dpoly_to_coeff_strings, format_dpoly
 from .plucker import BelowValidityFloor, index_to_j, plucker_formulas, plucker_value, ym_class_closed_form
 
@@ -160,11 +162,11 @@ class CheckResult:
             self.failures.append(witness)
 
 
-def pivot_witness(lam, cls, cache, unbuilt):
+def pivot_witness(lam, cls, subs):
     """None when every removal order gives `cls`, else the failure witness.
 
-    For each distinct part m, one step_at from the cached class of
-    lambda - (m) at d = B - m must give the rows of Q = prod e_i! * cls at
+    For each distinct part m, ascending, one step_at from subs[m], the cached
+    class of lambda - (m), at d = B - m must give the rows of Q = prod e_i! * cls at
     d = B = 2^K.  K is chosen so that B > 1 + M + H, where M, the largest
     step_at majorant, bounds every coefficient of each polynomial step and H,
     the largest row 1-norm of Q, bounds every coefficient of Q.
@@ -172,21 +174,21 @@ def pivot_witness(lam, cls, cache, unbuilt):
     large (Cauchy's bound), so equal values mean equal classes: the check is
     exact.
 
-    A removal order through a partition in `unbuilt`, whose class did not
-    build, fails without a step.
+    A removal order through a partition whose class did not build (subs[m]
+    is None) fails without a step.
     """
-    scale, subs, bound = factorial_of_multiplicities(lam), [], 0
+    scale, steps, bound = factorial_of_multiplicities(lam), [], 0
     try:
-        for m in sorted(set(lam.parts)):
+        for m, sub in subs.items():
             smaller = lam.remove(m)
-            if smaller in unbuilt:
+            if sub is None:
                 return (str(lam), f"pivot-independence via {m}", "exact division", f"no class for {smaller}")
-            sub = (crs_class(smaller, cache=cache), factorial_of_multiplicities(smaller))
-            subs.append((m, smaller.codim, sub))
+            sub = (sub, factorial_of_multiplicities(smaller))
+            steps.append((m, smaller.codim, sub))
             bound = max(bound, *step_at(rows_at(*sub, 1 + m, abs), smaller.codim, m, 1 + m, majorant=True))
         x = 1 << (bound + max(rows_at(cls, scale, 1, abs)) + 1).bit_length()
         target = rows_at(cls, scale, x)
-        for m, weight, sub in subs:
+        for m, weight, sub in steps:
             if step_at(rows_at(*sub, x - m), weight, m, x - m) != target:
                 return (str(lam), f"pivot-independence via {m}", "identical classes", "diverged")
     except DivisibilityViolation as exc:
@@ -218,21 +220,23 @@ def run_verification(max_weight, cache=None):
     closed_form = CheckResult("closed-form-single-part")
     top_degree = CheckResult("top-degree")
     leading = CheckResult("leading-term")
-    unbuilt = set()  # partitions whose class raised, or was to be built from one that did
 
     for lam in partitions:
-        sub = lam.remove(min(lam.parts))  # crs_class builds lam from it
-        if sub in unbuilt:
-            unbuilt.add(lam)
-            pivot_check.record(False, (str(lam), "pivot-independence", "exact division", f"no class for {sub}"))
+        # each lam - (m) was swept before lam (by ascending weight): missing when it did not build
+        smaller = {m: lam.remove(m) for m in sorted(set(lam.parts))}
+        subs = {m: cache.get(sub) if sub.parts else crs_class(sub) for m, sub in smaller.items()}
+        pivot = DEFAULT_POLICY.choose(lam.parts)  # crs_class builds lam from lam - (pivot)
+        if subs[pivot] is None:
+            cache.discard(lam)  # so nothing is built or checked through lam either
+            witness = (str(lam), "pivot-independence", "exact division", f"no class for {smaller[pivot]}")
+            pivot_check.record(False, witness)
             continue
         try:
             cls = crs_class(lam, cache=cache)
         except DivisibilityViolation as exc:
-            unbuilt.add(lam)
             pivot_check.record(False, (str(lam), "pivot-independence", "exact division", str(exc)))
             continue
-        witness = pivot_witness(lam, cls, cache, unbuilt)
+        witness = pivot_witness(lam, cls, subs)
         pivot_check.record(witness is None, witness)
 
         # single-part closed form
@@ -279,6 +283,8 @@ def cmd_class(args):
 
 
 def cmd_plucker(args):
+    if args.eval is not None and args.format != "plain":
+        raise ValueError(f"--eval prints plain numbers; --format {args.format} is refused")
     lam = parse_partition(args.partition)
     indices = range(lam.codim, -1, -2) if args.codim is None else [args.codim]
     js = [index_to_j(lam, index) for index in indices]  # a bad --codim is refused before any work

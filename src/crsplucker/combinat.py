@@ -1,17 +1,16 @@
 """Partition bookkeeping and combinatorial number supply.
 
 Input partitions never contain 1's; the reduction drops 1 from every part
-and its weight is the codimension of the corresponding stratum.  Kostka
-numbers are computed by direct semistandard-tableau enumeration on the
-two-row shape, Stirling numbers of the first kind via the elementary
-symmetric polynomial sigma_k(1, ..., m-1).
+and its weight is the codimension of the corresponding stratum.  Two-row
+Kostka numbers are read off the Schur expansion of h_nu, built by the Pieri
+rule; Stirling numbers of the first kind come from the elementary symmetric
+polynomial sigma_k(1, ..., m-1).
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from functools import lru_cache
 from typing import NamedTuple
 
 
@@ -94,43 +93,16 @@ def enumerate_partitions_no_ones(max_weight):
     return out
 
 
-@lru_cache(maxsize=None)
-def _ssyt_count(r1, r2, content):
-    """Count SSYT of two-row shape (r1, r2) and the given content by filling
-    values 1, 2, ... in order.
-
-    After all copies of value v are placed, (A, B) = (cells filled in row 1,
-    row 2) must satisfy column strictness: the row-2 cells holding values
-    <= v must sit under row-1 cells holding values < v, i.e. B <= A_prev.
-    """
-
-    def place(v, a_filled, b_filled):
-        if v == len(content):
-            return 1 if (a_filled, b_filled) == (r1, r2) else 0
-        total = 0
-        count = content[v]
-        for to_row1 in range(count + 1):
-            to_row2 = count - to_row1
-            a2, b2 = a_filled + to_row1, b_filled + to_row2
-            if a2 > r1 or b2 > r2:
-                continue
-            if b2 > a_filled:  # column strictness against earlier row-1 values
-                continue
-            total += place(v + 1, a2, b2)
-        return total
-
-    return place(0, 0, 0)
-
-
 def kostka_two_row(shape, content):
-    """Exact SSYT count for a two-row shape and the given content."""
+    """The two-row Kostka number K_((r1, r2), content): entry r2 of
+    complete_homogeneous_coefficients(content), and 0 unless r1 >= r2 >= 0."""
     r1, r2 = shape
     content = tuple(int(c) for c in content)
     if any(c <= 0 for c in content):
         raise ValueError("content entries must be positive")
     if sum(content) != r1 + r2:
         raise ValueError(f"content weight {sum(content)} != shape weight {r1 + r2}")
-    return _ssyt_count(r1, r2, tuple(sorted(content, reverse=True)))
+    return complete_homogeneous_coefficients(content)[r2] if r1 >= r2 >= 0 else 0
 
 
 def stirling_first(m, k):

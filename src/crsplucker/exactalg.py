@@ -161,7 +161,7 @@ def dpoly_from_coeff_strings(strings):
     })
 
 
-def format_dpoly(p, var="d"):
+def format_dpoly(p):
     """Human-readable rendering, highest exponent first, e.g. "d^2 - d"."""
     if p.is_zero():
         return "0"
@@ -173,7 +173,7 @@ def format_dpoly(p, var="d"):
         if e == 0:
             body = str(mag)
         else:
-            dpart = var if e == 1 else f"{var}^{e}"
+            dpart = "d" if e == 1 else f"d^{e}"
             body = dpart if mag == 1 else f"{mag}*{dpart}"
         if not pieces:
             pieces.append(body if c > 0 else f"-{body}")

@@ -31,6 +31,15 @@ class BelowValidityFloor(ValueError):
         super().__init__(f"d = {d0} is below the validity floor {floor}")
 
 
+def check_degree(lam, d0):
+    """Refuse a degree d0 that is not an integral number (ValueError) or lies
+    below the validity floor |lambda| (BelowValidityFloor)."""
+    if d0 % 1:
+        raise ValueError(f"d = {d0} is not an integral degree")
+    if d0 < lam.weight:
+        raise BelowValidityFloor(d0, lam.weight)
+
+
 class PluckerFormula(NamedTuple):
     lam: InputPartition
     j: int
@@ -44,11 +53,10 @@ class PluckerFormula(NamedTuple):
     def count(self, d0):
         """The exact number of lambda-lines for degree d0.
 
-        Refuses d0 below the validity floor |lambda|: the identification of
-        the polynomial with the enumerative count only holds from there on.
+        Refuses a non-integral d0, and d0 below the validity floor |lambda|:
+        the polynomial is the enumerative count only from there on.
         """
-        if d0 < self.lam.weight:
-            raise BelowValidityFloor(d0, self.lam.weight)
+        check_degree(self.lam, d0)
         value = dpoly_eval(self.formula, d0)
         if value.denominator != 1 or value < 0:
             raise ArithmeticError(f"Plucker value at d={d0} is not a nonnegative integer: {value}")
@@ -139,8 +147,7 @@ def plucker_value(lam, codim_index, d0, cache=None):
     """The exact number of lambda-lines for degree d0: PluckerFormula.count of
     the one formula that index codim_index names, with no predictions."""
     j = index_to_j(lam, codim_index)
-    if d0 < lam.weight:  # refuse before computing the class
-        raise BelowValidityFloor(d0, lam.weight)
+    check_degree(lam, d0)  # refuse before computing the class
     if lam.is_empty():
         raise ValueError("the empty partition has no Plucker formulas")
     return _formula(lam, j, crs_class(lam, cache=cache)).count(d0)

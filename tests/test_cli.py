@@ -203,6 +203,17 @@ class TestPluckerCommand:
         assert len(err.strip().splitlines()) == 1
         assert not path.exists()
 
+    def test_eval_with_format_refused_before_the_cache(self, capsys, tmp_path):
+        # --eval prints plain numbers; reading the unparseable file would warn
+        # on stderr, and writing it would replace it
+        path = tmp_path / "cache.json"
+        path.write_text("not json")
+        for fmt in ("json", "latex"):
+            code, out, err = run(capsys, "--cache", str(path), "plucker", "2,2", "--eval", "4", "--format", fmt)
+            assert (code, out) == (2, ""), fmt
+            assert err.strip().splitlines() == [f"--eval prints plain numbers; --format {fmt} is refused"]
+        assert path.read_text() == "not json"
+
     def test_eval_every_row(self, capsys):
         # rows in j order: index c = 2 first, then index 0, the bitangents
         code, out, _ = run(capsys, "plucker", "2,2", "--eval", "4")

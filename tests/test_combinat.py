@@ -1,5 +1,6 @@
 import math
-from itertools import combinations_with_replacement
+from functools import lru_cache
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 
@@ -32,6 +33,34 @@ def contents(w):
 
     for mult in sym_partitions(w):
         yield tuple(sorted((k for k, e in mult.items() for _ in range(e)), reverse=True))
+
+
+@lru_cache(maxsize=None)
+def _ssyt_count(r1, r2, content):
+    """Count SSYT of two-row shape (r1, r2) and the given content by filling
+    values 1, 2, ... in order.
+
+    After all copies of value v are placed, (A, B) = (cells filled in row 1,
+    row 2) must satisfy column strictness: the row-2 cells holding values
+    <= v must sit under row-1 cells holding values < v, i.e. B <= A_prev.
+    """
+
+    def place(v, a_filled, b_filled):
+        if v == len(content):
+            return 1 if (a_filled, b_filled) == (r1, r2) else 0
+        total = 0
+        count = content[v]
+        for to_row1 in range(count + 1):
+            to_row2 = count - to_row1
+            a2, b2 = a_filled + to_row1, b_filled + to_row2
+            if a2 > r1 or b2 > r2:
+                continue
+            if b2 > a_filled:  # column strictness against earlier row-1 values
+                continue
+            total += place(v + 1, a2, b2)
+        return total
+
+    return place(0, 0, 0)
 
 
 class TestInputPartition:
@@ -96,13 +125,19 @@ class TestKostka:
             kostka_two_row((2, 0), (2, 0))
 
     def test_equals_h_expansion_up_to_weight_14(self):
-        # two independent computations of the same number
+        # the Pieri fold, read directly and through kostka_two_row, against
+        # the tableau count; every content order, and shapes with r1 < r2
         for w in range(1, 15):
             for content in contents(w):
-                h = complete_homogeneous_coefficients(content)
-                assert len(h) == w // 2 + 1
-                for shape in all_two_row(w):
-                    assert h[shape[1]] == kostka_two_row(shape, content), (shape, content)
+                orders = set(permutations(content)) if len(content) <= 5 else {content, content[::-1]}
+                for order in orders:
+                    h = complete_homogeneous_coefficients(order)
+                    assert len(h) == w // 2 + 1
+                    for r2 in range(w + 1):
+                        count = _ssyt_count(w - r2, r2, content)
+                        assert kostka_two_row((w - r2, r2), order) == count, (r2, order)
+                        if r2 <= w - r2:
+                            assert h[r2] == count, (r2, order)
 
     def test_vanishing_agrees_with_count(self):
         for w in range(1, 15):

@@ -64,6 +64,21 @@ class TestValues:
         with pytest.raises(BelowValidityFloor):
             plucker_value(InputPartition((2, 2)), 0, 3)
 
+    def test_non_integral_degree_is_bad_input(self, monkeypatch):
+        # a ValueError, refused before the class is computed; 4.0 is integral
+        lam = InputPartition((2, 2))
+        assert plucker_value(lam, 0, 4) == plucker_value(lam, 0, 4.0) == 28
+        with pytest.raises(ValueError, match="not an integral degree"):
+            PluckerFormula(lam, 0, DPoly()).count(Fraction(9, 2))
+
+        def unused(*args, **kwargs):
+            raise AssertionError("the class was computed for a refused degree")
+
+        monkeypatch.setattr(crsplucker.plucker, "crs_class", unused)
+        for d0 in (4.5, Fraction(9, 2), float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="not an integral degree"):
+                plucker_value(lam, 0, d0)
+
     def test_bad_parity(self):
         with pytest.raises(ValueError, match="wrong parity"):
             plucker_value(InputPartition((2, 2)), 1, 5)
