@@ -1,9 +1,10 @@
-"""Command-line front end.
+"""Command-line front end: argument parsing, rendering, the cache file and
+exit codes.
 
 Subcommands:
   class    compute and print the class of one partition
   plucker  print the Plucker formula table, or evaluate counts
-  verify   sweep all partitions up to a weight and run the consistency checks
+  verify   report verify.run_verification, the consistency sweep up to a weight
 
 Exit codes: 0 success, 1 verification failure (including a MISMATCH row
 printed by plucker, and a divisibility violation met by verify), 2 bad
@@ -22,12 +23,11 @@ import json
 import os
 import sys
 
-from .combinat import InputPartition, enumerate_partitions_no_ones, factorial_of_multiplicities
-from .crs import (
-    DEFAULT_POLICY, ClassCache, DivisibilityViolation, check_top_degree, class_to_json, crs_class, rows_at, step_at,
-)
+from .combinat import InputPartition
+from .crs import ClassCache, class_to_json, crs_class
 from .exactalg import dpoly_to_coeff_strings, format_dpoly
-from .plucker import BelowValidityFloor, index_to_j, plucker_formulas, plucker_value, ym_class_closed_form
+from .plucker import BelowValidityFloor, index_to_j, plucker_formulas, plucker_value
+from .verify import run_verification
 
 CACHE_ENV_VAR = "CRS_PLUCKER_CACHE"
 
@@ -69,17 +69,11 @@ def render_class_latex(lam, cls):
     return f"\\left[\\,\\overline Y_{{{lam.canonical_string()}}}(d)\\right] = {terms or '0'}"
 
 
-def _mismatch(row):
-    """(expected, got): the predicted and the formula's degree and leading coefficient."""
-    f, p = row.formula.formula, row.prediction
-    return f"degree {p.degree} leading {p.coefficient}", f"degree {f.degree} leading {f.leading_coefficient}"
-
-
 def render_table_plain(table):
     lines = []
     for row in table.rows:
         f = row.formula
-        verdict = "match" if row.match else "MISMATCH expected {}, got {}".format(*_mismatch(row))
+        verdict = "match" if row.match else "MISMATCH expected {}, got {}".format(*row.mismatch())
         lines.append(
             f"Pl[{f.lam.canonical_string()};{f.codim_index}] = {format_dpoly(f.formula)}"
             f"   (predicted degree {row.prediction.degree},"
@@ -146,125 +140,6 @@ def save_cache(cache, path):
             raise ValueError(f"cannot write cache file {path}: {exc.strerror or exc}") from None
 
 
-# -- verification sweep -------------------------------------------------------
-
-
-class CheckResult:
-    __slots__ = ("name", "passed", "failures")
-
-    def __init__(self, name):
-        self.name, self.passed, self.failures = name, 0, []
-
-    def record(self, ok, witness):
-        if ok:
-            self.passed += 1
-        else:
-            self.failures.append(witness)
-
-
-def pivot_witness(lam, cls, subs):
-    """None when every removal order gives `cls`, else the failure witness.
-
-    For each distinct part m, ascending, one step_at from subs[m], the cached
-    class of lambda - (m), at d = B - m must give the rows of Q = prod e_i! * cls at
-    d = B = 2^K.  K is chosen so that B > 1 + M + H, where M, the largest
-    step_at majorant, bounds every coefficient of each polynomial step and H,
-    the largest row 1-norm of Q, bounds every coefficient of Q.
-    A nonzero integer polynomial of height at most M + H has no root that
-    large (Cauchy's bound), so equal values mean equal classes: the check is
-    exact.
-
-    A removal order through a partition whose class did not build (subs[m]
-    is None) fails without a step.
-    """
-    scale, steps, bound = factorial_of_multiplicities(lam), [], 0
-    try:
-        for m, sub in subs.items():
-            smaller = lam.remove(m)
-            if sub is None:
-                return (str(lam), f"pivot-independence via {m}", "exact division", f"no class for {smaller}")
-            sub = (sub, factorial_of_multiplicities(smaller))
-            steps.append((m, smaller.codim, sub))
-            bound = max(bound, *step_at(rows_at(*sub, 1 + m, abs), smaller.codim, m, 1 + m, majorant=True))
-        x = 1 << (bound + max(rows_at(cls, scale, 1, abs)) + 1).bit_length()
-        target = rows_at(cls, scale, x)
-        for m, weight, sub in steps:
-            if step_at(rows_at(*sub, x - m), weight, m, x - m) != target:
-                return (str(lam), f"pivot-independence via {m}", "identical classes", "diverged")
-    except DivisibilityViolation as exc:
-        return (str(lam), f"pivot-independence via {m}", "exact division", str(exc))
-    return None
-
-
-def run_verification(max_weight, cache=None):
-    """Sweep all partitions without 1's of weight <= max_weight and run the
-    pivot-independence, closed-form, top-degree and leading-term checks.
-
-    Classes are built by the polynomial recursion on the shared cache.
-    Pivot independence (pivot_witness): for every partition lambda and every
-    distinct part m, one exact integer step from the cached class of
-    lambda - (m) must give the cached class of lambda.  Every lambda - (m)
-    is itself in the sweep, so by induction on the number of parts every
-    removal order gives the cached class, and every class loaded from a cache
-    file is checked.  A DivisibilityViolation while building lambda fails
-    its pivot-independence check; lambda is not cached and the sweep goes on.
-    A later lambda built or checked through it fails the same check without
-    stepping again, and its witness names the partition that did not build.
-
-    Returns a list of CheckResult, one per check.
-    """
-    partitions = enumerate_partitions_no_ones(max_weight)
-    cache = cache if cache is not None else ClassCache()
-
-    pivot_check = CheckResult("pivot-independence")
-    closed_form = CheckResult("closed-form-single-part")
-    top_degree = CheckResult("top-degree")
-    leading = CheckResult("leading-term")
-
-    for lam in partitions:
-        # each lam - (m) was swept before lam (by ascending weight): missing when it did not build
-        smaller = {m: lam.remove(m) for m in sorted(set(lam.parts))}
-        subs = {m: cache.get(sub) if sub.parts else crs_class(sub) for m, sub in smaller.items()}
-        pivot = DEFAULT_POLICY.choose(lam.parts)  # crs_class builds lam from lam - (pivot)
-        if subs[pivot] is None:
-            cache.discard(lam)  # so nothing is built or checked through lam either
-            witness = (str(lam), "pivot-independence", "exact division", f"no class for {smaller[pivot]}")
-            pivot_check.record(False, witness)
-            continue
-        try:
-            cls = crs_class(lam, cache=cache)
-        except DivisibilityViolation as exc:
-            pivot_check.record(False, (str(lam), "pivot-independence", "exact division", str(exc)))
-            continue
-        witness = pivot_witness(lam, cls, subs)
-        pivot_check.record(witness is None, witness)
-
-        # single-part closed form
-        if len(lam.parts) == 1:
-            expected = ym_class_closed_form(lam.parts[0])
-            closed_form.record(
-                cls == expected, (str(lam), "closed-form-single-part", repr(expected), repr(cls))
-            )
-
-        # top d-degree: nothing above d^|lambda|, and the d^|lambda| slice
-        try:
-            check_top_degree(lam, cls)
-            problem = None
-        except ValueError as exc:
-            problem = str(exc)
-        want = "d-degree <= |lambda| and top slice top_degree_class"
-        top_degree.record(problem is None, (str(lam), "top-degree", want, problem))
-
-        # leading terms of every formula
-        for row in plucker_formulas(lam, cache=cache).rows:
-            if row.match:
-                leading.passed += 1
-            else:
-                leading.failures.append((str(lam), f"leading-term j={row.formula.j}", *_mismatch(row)))
-
-    return [pivot_check, closed_form, top_degree, leading]
-
-
 # -- subcommands --------------------------------------------------------------
 
 
@@ -311,34 +186,26 @@ def cmd_verify(args):
         print("--max-weight must be at least 2", file=sys.stderr)
         return EXIT_BAD_INPUT
     cache = open_cache(args.cache)
-    results = run_verification(args.max_weight, cache=cache)
-    partitions = enumerate_partitions_no_ones(args.max_weight)
-    # an entry that failed a check is not written back, so no later run serves it
-    failed = {w[0] for r in results for w in r.failures}
-    for lam in partitions:
-        if str(lam) in failed:
-            cache.discard(lam)
+    results = run_verification(args.max_weight, cache=cache)  # drops every entry that failed a check
     save_cache(cache, args.cache)
-    n_partitions = len(partitions)
+    counts = {name: (passed, len(failures)) for name, (passed, failures) in results.items()}
+    n_partitions = sum(counts["pivot-independence"])  # one pivot-independence item per partition
     if args.format == "json":
         print(
             json.dumps(
                 {
                     "max_weight": args.max_weight,
                     "partitions": n_partitions,
-                    "checks": [
-                        {"name": r.name, "passed": r.passed, "failed": len(r.failures)}
-                        for r in results
-                    ],
+                    "checks": [{"name": name, "passed": p, "failed": f} for name, (p, f) in counts.items()],
                 },
                 sort_keys=True,
             )
         )
     else:
         print(f"verified {n_partitions} partitions of weight <= {args.max_weight}")
-        for r in results:
-            print(f"  {r.name}: {r.passed} passed, {len(r.failures)} failed")
-    failures = [w for r in results for w in r.failures]
+        for name, (p, f) in counts.items():
+            print(f"  {name}: {p} passed, {f} failed")
+    failures = [w for _, found in results.values() for w in found]
     if failures:
         lam, check, expected, got = failures[0]
         print(

@@ -23,8 +23,8 @@ from typing import NamedTuple
 from .combinat import InputPartition, complete_homogeneous_coefficients, factorial_of_multiplicities
 from .exactalg import DPoly, dpoly_from_coeff_strings, dpoly_shift, dpoly_to_coeff_strings
 from .symfunc import (
-    SchurClass, TwoRowPartition, class_product, linear_factor_expansion, monomial_divdiff, shift_both,
-    split_shift, unit_class, weighted_divdiff,
+    SchurClass, TwoRowPartition, class_product, monomial_divdiff, shift_both, split_shift, unit_class,
+    weighted_divdiff,
 )
 
 
@@ -278,7 +278,9 @@ def step_at(values, weight, m, z, majorant=False):
         for bucket, row in zip(buckets, shift_both((weight - r2, r2))):
             for v, c in row.items():
                 bucket[v] = bucket.get(v, 0) + c * q
-    e = [sum(c * z**k for k, c in p.coeffs.items()) for p in linear_factor_expansion(m)]
+    e = [1]  # e[f] = e_f(z), multiplying out prod_{i<m}(i*a + (z+m-i)*b) at z
+    for i in range(m):
+        e = [i * x + (z + m - i) * y for x, y in zip(e + [0], [0] + e)]
     out = [0] * ((weight + m + 3) // 2)  # one more than the (weight + m - 1) // 2 + 1 rows
     for t, bucket in enumerate(buckets):
         a_t = {}
@@ -295,8 +297,9 @@ def step_at(values, weight, m, z, majorant=False):
             for (i, j), c in a_t.items():
                 lo, hi = j + v, min(i + v, j + k)
                 if lo <= hi:
-                    out[lo] += c * q
-                    out[hi + 1] -= c * q
+                    cq = c * q
+                    out[lo] += cq
+                    out[hi + 1] -= cq
     return list(accumulate(out))[:-1]
 
 

@@ -79,6 +79,11 @@ class PluckerRow(NamedTuple):
         f, p = self.formula.formula, self.prediction
         return (f.degree, f.leading_coefficient) == (p.degree, p.coefficient)
 
+    def mismatch(self):
+        """(expected, got): the predicted and the formula's degree and leading coefficient."""
+        f, p = self.formula.formula, self.prediction
+        return f"degree {p.degree} leading {p.coefficient}", f"degree {f.degree} leading {f.leading_coefficient}"
+
 
 class PluckerTable(NamedTuple):
     lam: InputPartition

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import crsplucker.cli
 import crsplucker.crs
 import crsplucker.plucker
+import crsplucker.verify
 from crsplucker.cli import main, run_verification
 from crsplucker.combinat import InputPartition, enumerate_partitions_no_ones, factorial_of_multiplicities
 from crsplucker.crs import ClassCache, crs_class, rows_at
@@ -249,7 +250,7 @@ class TestVerifyCommand:
 
     def test_fault_only_a_middle_removal_order_reaches(self, capsys, monkeypatch):
         # (4,2) + (3) is reached only when (4,3,2) removes its 3 first
-        real = crsplucker.cli.step_at
+        real = crsplucker.verify.step_at
         four_two = crs_class(InputPartition((4, 2)))
 
         def broken(values, weight, m, z, majorant=False):
@@ -257,7 +258,7 @@ class TestVerifyCommand:
             hit = m == 3 and not majorant and values == rows_at(four_two, 1, z)
             return [2 * v for v in result] if hit else result
 
-        monkeypatch.setattr(crsplucker.cli, "step_at", broken)
+        monkeypatch.setattr(crsplucker.verify, "step_at", broken)
         code, _, err = run(capsys, "verify", "--max-weight", "9")
         assert code == 1
         assert err.strip().splitlines() == [
@@ -269,7 +270,7 @@ class TestVerifyCommand:
         # 76 partitions, 139 distinct parts: cold builds each class by one
         # polynomial step, and both runs check every part by one integer step
         steps, points = [], []
-        real_step, real_point = crsplucker.crs.recursion_step, crsplucker.cli.step_at
+        real_step, real_point = crsplucker.crs.recursion_step, crsplucker.verify.step_at
 
         def counting_step(y_prime, m):
             steps.append(m)
@@ -281,12 +282,12 @@ class TestVerifyCommand:
             return real_point(values, weight, m, z, majorant)
 
         monkeypatch.setattr(crsplucker.crs, "recursion_step", counting_step)
-        monkeypatch.setattr(crsplucker.cli, "step_at", counting_point)
+        monkeypatch.setattr(crsplucker.verify, "step_at", counting_point)
         cache = ClassCache()
         for polynomial_steps in (76, 0):
             steps.clear()
             points.clear()
-            assert all(r.failures == [] for r in run_verification(12, cache))
+            assert all(failures == [] for _, failures in run_verification(12, cache).values())
             assert (len(steps), len(points)) == (polynomial_steps, 139)
 
     def test_wrong_class_vanishing_at_a_power_of_two_fails(self):
@@ -304,8 +305,8 @@ class TestVerifyCommand:
                         crs_class(smaller, cache=cache)
                     wrong = SchurClass(2, {rho: DPoly({j: Fraction(-(2**k), 2), j + 1: Fraction(1, 2)})})
                     cache.put(lam, crs_class(lam) + wrong)
-                    pivot = run_verification(4, cache)[0]
-                    assert [w[:2] for w in pivot.failures] == [("(2,2)", "pivot-independence via 2")], (rho, j, k)
+                    _, failures = run_verification(4, cache)["pivot-independence"]
+                    assert [w[:2] for w in failures] == [("(2,2)", "pivot-independence via 2")], (rho, j, k)
 
     def test_leading_term_failure_names_the_expectation_once(self, capsys, monkeypatch):
         real = crsplucker.plucker.predicted_leading
@@ -331,17 +332,36 @@ class TestVerifyCommand:
         assert {c["name"] for c in doc["checks"]} >= {"pivot-independence", "leading-term"}
         assert all(c["failed"] == 0 for c in doc["checks"])
 
+    def test_weight_12_report_and_file_are_pinned(self, capsys, tmp_path):
+        # what the verify-cli benchmark compares: the report cold and warm,
+        # and the cache file the cold run writes
+        path = tmp_path / "classes.json"
+        report = (
+            '{"checks": [{"failed": 0, "name": "pivot-independence", "passed": 76},'
+            ' {"failed": 0, "name": "closed-form-single-part", "passed": 11},'
+            ' {"failed": 0, "name": "top-degree", "passed": 76},'
+            ' {"failed": 0, "name": "leading-term", "passed": 320}],'
+            ' "max_weight": 12, "partitions": 76}\n'
+        )
+        argv = ("--cache", str(path), "verify", "--max-weight", "12", "--format", "json")
+        assert run(capsys, *argv) == (0, report, "")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "9e1f95712300eb5567c143213f70ca80751d978b2b8a7d8a68332b42fea28af6"
+        )
+        assert run(capsys, *argv) == (0, report, "")
+        assert list(crsplucker.verify.CHECKS) == [c["name"] for c in json.loads(report)["checks"]]
+
     def test_degree_above_weight_fails_top_degree(self, capsys, monkeypatch):
         # d^5 * s_(2,0) on the class of (2,2): the d^4 slice is still right,
         # but no coefficient may have d-degree above |lambda| = 4
-        real = crsplucker.cli.crs_class
+        real = crsplucker.verify.crs_class
         extra = SchurClass(2, {(2, 0): DPoly({5: 1})})
 
         def padded(lam, *args, **kwargs):
             cls = real(lam, *args, **kwargs)
             return cls + extra if lam.parts == (2, 2) else cls
 
-        monkeypatch.setattr(crsplucker.cli, "crs_class", padded)
+        monkeypatch.setattr(crsplucker.verify, "crs_class", padded)
         code, out, _ = run(capsys, "verify", "--max-weight", "4", "--format", "json")
         assert code == 1
         checks = {c["name"]: c["failed"] for c in json.loads(out)["checks"]}
@@ -464,12 +484,12 @@ class TestCacheFile:
                 raise
 
         monkeypatch.setattr(crsplucker.crs, "recursion_step", counting_step)
-        pivot = run_verification(12, ClassCache.load(path))[0]
+        passed, failures = run_verification(12, ClassCache.load(path))["pivot-independence"]
         assert raised == [2]
-        assert (pivot.passed, len(pivot.failures)) == (59, 17)
-        assert pivot.failures[0] == ("(2,2)", "pivot-independence via 2", "identical classes", "diverged")
-        assert ("(2,2,2,2)", "pivot-independence", "exact division", "no class for (2,2,2)") in pivot.failures
-        assert ("(3,2,2,2)", "pivot-independence via 3", "exact division", "no class for (2,2,2)") in pivot.failures
+        assert (passed, len(failures)) == (59, 17)
+        assert failures[0] == ("(2,2)", "pivot-independence via 2", "identical classes", "diverged")
+        assert ("(2,2,2,2)", "pivot-independence", "exact division", "no class for (2,2,2)") in failures
+        assert ("(3,2,2,2)", "pivot-independence via 3", "exact division", "no class for (2,2,2)") in failures
 
     def test_non_integral_count_exits_3(self, capsys, tmp_path):
         # +1/2 on the d^0 coefficient of s_(2,0): 2! times the class is still

@@ -138,6 +138,10 @@ class TestStepAt:
 
     def test_single_part_from_the_unit_class(self):
         assert step_at([1], 0, 2, 5) == rows_at(y2(), 1, 7)
+        for m in [*range(2, 41), 60]:
+            closed = ym_class_closed_form(m)
+            for z in (m, 10**12 + 3):
+                assert step_at([1], 0, m, z) == rows_at(closed, 1, z + m), (m, z)
 
     def test_violation_raises_and_majorant_rounds_up(self):
         # s_(1,0)(a+x, b+x) = s_(1,0) + 2x, so a value 1 of s_(1,0) at z = 3
