@@ -7,6 +7,10 @@ divided by d^t exactly before the product, so every term, and hence the sum,
 is a polynomial.  The divisibility is guaranteed by the underlying algebra
 and checked at runtime: a failure is an implementation bug.
 
+The step has one implementation, step_at, on the class's rows by r2.  Its
+values are ints at a number, where verify checks every removal order, or
+DPolys over Z[d], where recursion_step builds every class.
+
 Only the 1/e_m has a denominator, and the e_m of a run multiply to prod e_i!
 whatever the pivot order.  So the steps run without it on the integral class
 prod e_i! * [Y_lambda], in int arithmetic, and class_via divides once.
@@ -23,9 +27,10 @@ from typing import NamedTuple
 from .combinat import InputPartition, complete_homogeneous_coefficients, factorial_of_multiplicities
 from .exactalg import DPoly, dpoly_from_coeff_strings, dpoly_shift, dpoly_to_coeff_strings
 from .symfunc import (
-    SchurClass, TwoRowPartition, class_product, monomial_divdiff, shift_both, split_shift, unit_class,
-    weighted_divdiff,
+    SchurClass, TwoRowPartition, class_product, linear_factor_expansion, split_shift, unit_class, weighted_divdiff,
 )
+
+D = DPoly({1: 1})  # the indeterminate d: step_at at D is the step over Z[d]
 
 
 class DivisibilityViolation(ArithmeticError):
@@ -60,7 +65,8 @@ class ClassCache:
     Only classes of the partition's weight that are integral once scaled by
     prod e_i! are stored.  Entries loaded from disk must also pass the
     top-degree oracle, and a file is written whole or not at all.  An entry
-    that is wrong below its top d-degree still loads; `verify` re-derives it.
+    that is wrong below its top d-degree still loads; `verify` checks it at
+    one exact point, and only up to its --max-weight.
     """
 
     def __init__(self):
@@ -193,32 +199,13 @@ def class_from_json(doc):
     return SchurClass(int(doc["codim"]), terms)
 
 
-def divide_by_d_power(b_class, t):
-    """The class B_t / d^t; raise DivisibilityViolation if d^t does not divide
-    some coefficient of B_t."""
-    if t == 0:
-        return b_class
-    quotient = {}
-    for rho, coeff in b_class.items():
-        terms = coeff.coeffs
-        if min(terms) < t:
-            raise DivisibilityViolation(f"d^{t} does not divide the s_{tuple(rho)} coefficient of B_{t}")
-        quotient[rho] = DPoly({e - t: c for e, c in terms.items()})
-    return SchurClass(b_class.weight, quotient)
-
-
 def recursion_step(y_prime, m):
-    """Map prod e_i! * [Y_lambda'] to prod e_i! * [Y_lambda], lambda = lambda' + (m).
-
-    Computes sum_t m^t A_t (B_t / d^t) and then substitutes d -> d - m.
-    """
-    if m < 2:
-        raise ValueError("need m >= 2")
-    shifted = None
-    for t, b_t in enumerate(split_shift(y_prime)):
-        term = class_product(weighted_divdiff(t, m), divide_by_d_power(b_t, t).scale(m**t))
-        shifted = term if shifted is None else shifted + term
-    return shifted.map_coefficients(lambda p: dpoly_shift(p, -m))
+    """Map prod e_i! * [Y_lambda'] to prod e_i! * [Y_lambda], lambda = lambda' + (m):
+    step_at over Z[d], then the substitution d -> d - m."""
+    w = y_prime.weight
+    rows = step_at([y_prime.coefficient((w - v, v)) for v in range(w // 2 + 1)], w, m, D)
+    w += m - 1
+    return SchurClass(w, {TwoRowPartition(w - v, v): dpoly_shift(row, -m) for v, row in enumerate(rows) if row})
 
 
 def crs_class(partition, policy=DEFAULT_POLICY, cache=None):
@@ -257,13 +244,15 @@ def class_via(partition, m, cache, policy=DEFAULT_POLICY):
 
 
 def step_at(values, weight, m, z, majorant=False):
-    """recursion_step at one point, in int arithmetic.
+    """One recursion step, at the number z or over Z[d] with z = D.
 
     `values` lists, by r2, prod e_i! * [Y_lambda'] at d = z, where weight is
     codim(lambda'); returns the list, by r2, of prod e_i! * [Y_lambda] at
-    d = z + m, lambda = lambda' + (m).  The substitution d -> d - m is the
-    offset between the two points.  Each bucket of B_t(z) is divided by z^t
-    exactly, or DivisibilityViolation is raised.
+    d = z + m, lambda = lambda' + (m).  At a number the values are ints and
+    the substitution d -> d - m is the offset between the two points; over
+    Z[d] they are DPolys, and recursion_step substitutes.  The step sums
+    m^t A_t (B_t / z^t) over the buckets B_t of split_shift, each divided by
+    z^t exactly, or DivisibilityViolation is raised.
 
     With majorant=True the signs of A_t are dropped and the division rounds
     up.  Given rows_at(Y', 1 + m, abs) at z = 1 + m, each entry then bounds
@@ -273,34 +262,26 @@ def step_at(values, weight, m, z, majorant=False):
     """
     if m < 2:
         raise ValueError("need m >= 2")
-    buckets = [{} for _ in range(weight + 1)]
-    for r2, q in enumerate(values):
-        for bucket, row in zip(buckets, shift_both((weight - r2, r2))):
-            for v, c in row.items():
-                bucket[v] = bucket.get(v, 0) + c * q
-    e = [1]  # e[f] = e_f(z), multiplying out prod_{i<m}(i*a + (z+m-i)*b) at z
-    for i in range(m):
-        e = [i * x + (z + m - i) * y for x, y in zip(e + [0], [0] + e)]
-    out = [0] * ((weight + m + 3) // 2)  # one more than the (weight + m - 1) // 2 + 1 rows
-    for t, bucket in enumerate(buckets):
-        a_t = {}
-        for f in range(1, m + 1):
-            sign, rho = monomial_divdiff(t + m - f, f)
-            if sign:
-                a_t[rho] = a_t.get(rho, 0) + (e[f] if majorant else sign * e[f])
+    if isinstance(z, DPoly):
+        e = linear_factor_expansion(m)
+    else:
+        e = [1]  # e[f] = e_f(z), multiplying out prod_{i<m}(i*a + (z+m-i)*b) at z
+        for i in range(m):
+            e = [i * x + (z + m - i) * y for x, y in zip(e + [0], [0] + e)]
+    out, zt = [0] * ((weight + m + 1) // 2), 1  # the (weight + m - 1) // 2 + 1 rows
+    for t, bucket in enumerate(split_shift(values, weight)):
+        quotients, mt = {}, m**t
         for v, b in bucket.items():
-            q, r = divmod(b, z**t)
-            if r and not majorant:
-                raise DivisibilityViolation(f"z^{t} does not divide B_{t} at s_{(weight - t - v, v)}")
-            q = (q + (r > 0)) * m**t  # rounded up; r is 0 unless majorant
-            k = weight - t - v
-            for (i, j), c in a_t.items():
-                lo, hi = j + v, min(i + v, j + k)
-                if lo <= hi:
-                    cq = c * q
-                    out[lo] += cq
-                    out[hi + 1] -= cq
-    return list(accumulate(out))[:-1]
+            q, r = divmod(b, zt)
+            if r:
+                if not majorant:
+                    rho = (weight - t - v, v)
+                    raise DivisibilityViolation(f"{z}^{t} does not divide the s_{rho} coefficient of B_{t}")
+                q += 1  # rounded up
+            quotients[v] = q * mt
+        class_product(weighted_divdiff(t, m, e, majorant), quotients, weight - t, out)
+        zt *= z
+    return list(accumulate(out))
 
 
 def rows_at(schur_class, scale, x, coeff=int):

@@ -4,12 +4,15 @@ Coefficients are exact: an integral one is stored as an int, any other as a
 fractions.Fraction, so integer work (the whole recursion) never builds a
 Fraction.  A polynomial is a sparse map exponent -> coefficient with no
 explicit zero entries and no negative exponents.  The zero polynomial is
-the empty map and has degree -inf.  The recursion only ever divides by d^t
-where the division is exact, so no Laurent type is needed.
+the empty map and has degree -inf.  The one recursion step runs on ints at
+a number and on DPolys over Z[d], so a DPoly adds and subtracts ints and
+divmod divides it by d^t; the step needs that division exact, so no Laurent
+type is needed.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 NEG_INF = float("-inf")
@@ -56,20 +59,29 @@ class DPoly:
     # -- ring operations --------------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, DPoly):
+        if isinstance(other, int):
+            other = DPoly({0: other})
+        elif not isinstance(other, DPoly):
             return NotImplemented
         out = dict(self._coeffs)
         for e, c in other._coeffs.items():
             out[e] = out.get(e, 0) + c
         return DPoly(out)
 
+    __radd__ = __add__
+
     def __sub__(self, other):
-        if not isinstance(other, DPoly):
+        if isinstance(other, int):
+            other = DPoly({0: other})
+        elif not isinstance(other, DPoly):
             return NotImplemented
         out = dict(self._coeffs)
         for e, c in other._coeffs.items():
             out[e] = out.get(e, 0) - c
         return DPoly(out)
+
+    def __rsub__(self, other):
+        return -self + other
 
     def __neg__(self):
         return DPoly({e: -c for e, c in self._coeffs.items()})
@@ -87,6 +99,17 @@ class DPoly:
         return NotImplemented
 
     __rmul__ = __mul__
+
+    def __divmod__(self, power):
+        """(quotient, remainder) on division by power = d^t, given as a DPoly
+        or, for t = 0, as the int 1: the remainder holds the terms below d^t."""
+        if power == 1:
+            return self, 0
+        if not isinstance(power, DPoly) or list(power._coeffs.values()) != [1]:
+            return NotImplemented
+        t = power.degree
+        high = {e - t: c for e, c in self._coeffs.items() if e >= t}
+        return DPoly(high), DPoly({e: c for e, c in self._coeffs.items() if e < t})
 
     # -- comparisons -------------------------------------------------------
 
@@ -151,14 +174,23 @@ def dpoly_to_coeff_strings(p):
 def dpoly_from_coeff_strings(strings):
     """The DPoly whose coefficients, from exponent 0 upward, are `strings`.
 
-    An optionally negated string of decimal digits is read with int(), which
-    gives the value Fraction() would, much faster.  Every other entry goes
-    through Fraction(), so what is accepted and what raises is decided there.
+    Only what dpoly_to_coeff_strings writes is read: -?[0-9]+, with int(),
+    whose digit limit bounds the size, or -?[0-9]+/[0-9]+.  Anything else,
+    exponent notation and non-strings included, raises ValueError.
     """
     return DPoly({
-        e: int(s) if isinstance(s, str) and s.removeprefix("-").isdecimal() else Fraction(s)
+        e: int(s) if type(s) is str and s.isascii() and s.removeprefix("-").isdecimal() else _fraction(s)
         for e, s in enumerate(strings)
     })
+
+
+_FRACTION = re.compile(r"(-?[0-9]+)/([0-9]+)")
+
+
+def _fraction(s):
+    if type(s) is not str or not (match := _FRACTION.fullmatch(s)):
+        raise ValueError(f"not a coefficient string: {s!r}")
+    return Fraction(int(match[1]), int(match[2]))
 
 
 def format_dpoly(p):

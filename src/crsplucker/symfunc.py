@@ -4,6 +4,10 @@ All classes live in the basis s_(r1,r2)(a,b) with r1 >= r2 >= 0.  A
 SchurClass is a finite map from two-row partitions to d-coefficients
 (DPoly), homogeneous of one {a,b}-degree, stored explicitly as `weight`
 so the zero class still carries its grading.
+
+The three phases of one recursion step (split_shift, weighted_divdiff and
+class_product) work on rows and dicts whose values are ints, at a number,
+or DPolys, over Z[d]; crs.step_at runs them in both modes.
 """
 
 from __future__ import annotations
@@ -61,26 +65,9 @@ class SchurClass:
     def is_zero(self):
         return not self._terms
 
-    def __add__(self, other):
-        if not isinstance(other, SchurClass):
-            return NotImplemented
-        if not other._terms:
-            return self
-        if not self._terms:
-            return other
-        if self.weight != other.weight:
-            raise ValueError("cannot add classes of different weights")
-        out = dict(self._terms)
-        for rho, c in other._terms.items():
-            out[rho] = out.get(rho, DPoly()) + c
-        return SchurClass(self.weight, out)
-
     def scale(self, factor):
         """Multiply every coefficient by a scalar, DPoly or Fraction/int."""
         return SchurClass(self.weight, {rho: c * factor for rho, c in self._terms.items()})
-
-    def map_coefficients(self, fn):
-        return SchurClass(self.weight, {rho: fn(c) for rho, c in self._terms.items()})
 
     def __eq__(self, other):
         if isinstance(other, SchurClass):
@@ -115,33 +102,6 @@ def monomial_divdiff(i, j):
     return -1, TwoRowPartition(i - 1, j)
 
 
-def class_product(left, right):
-    """The product of two classes, bilinear in their terms.
-
-    By the Pieri rule s_(i,j) * s_(k,l) is the sum of s_(w-v, v),
-    w = i + j + k + l, over the interval j + l <= v <= min(i + l, j + k),
-    each with multiplicity one.  Each pair's product is added at the
-    interval's first row and subtracted one past its last, unless that is
-    the balanced row w // 2; the rows are one running sum over v.
-    """
-    w = left.weight + right.weight
-    top = w // 2
-    diff = {}
-    for (i, j), c1 in left._terms.items():
-        for (k, l), c2 in right._terms.items():
-            c = c1 * c2
-            lo, hi = j + l, min(i + l, j + k)
-            diff[lo] = diff[lo] + c if lo in diff else c
-            if hi < top:
-                diff[hi + 1] = diff[hi + 1] - c if hi + 1 in diff else -c
-    out, acc = {}, DPoly()
-    for v in range(min(diff, default=top + 1), top + 1):
-        if v in diff:
-            acc = acc + diff[v]
-        out[TwoRowPartition(w - v, v)] = acc
-    return SchurClass(w, out)
-
-
 def shift_both(rho):
     """Expand s_rho(a+x, b+x) as a polynomial in x, as a table of ints.
 
@@ -166,21 +126,20 @@ def shift_both(rho):
     return out
 
 
-def split_shift(schur_class):
-    """Linear extension of shift_both: returns [B_0, ..., B_w], w = weight.
+def split_shift(values, weight):
+    """Linear extension of shift_both to the rows `values`, by r2, of a class
+    of the given weight: returns the buckets [B_0, ..., B_weight], B_t as
+    {v: coefficient of s_(weight - t - v, v)} with zero entries left out.
 
-    B_t has weight w - t and B_0 equals the input class.
+    The values are ints or DPolys, and B_0 holds the input's nonzero rows.
     """
-    w = schur_class.weight
-    buckets = [dict() for _ in range(w + 1)]
-    for rho, q in schur_class._terms.items():
-        for bucket, row in zip(buckets, shift_both(rho)):
-            for v, c in row.items():
-                bucket[v] = bucket.get(v, DPoly()) + q * c
-    return [
-        SchurClass(w - t, {TwoRowPartition(w - t - v, v): coeff for v, coeff in b.items()})
-        for t, b in enumerate(buckets)
-    ]
+    buckets = [{} for _ in range(weight + 1)]
+    for r2, q in enumerate(values):
+        if q:
+            for bucket, row in zip(buckets, shift_both((weight - r2, r2))):
+                for v, c in row.items():
+                    bucket[v] = bucket.get(v, 0) + q * c
+    return [{v: c for v, c in bucket.items() if c} for bucket in buckets]
 
 
 @lru_cache(maxsize=None)
@@ -204,19 +163,41 @@ def linear_factor_expansion(m):
     return tuple(DPoly(dict(enumerate(row))) for row in e)
 
 
-def weighted_divdiff(t, m):
-    """The class A_t = divided difference of a^t * prod_{i=0}^{m-1}(i*a + (d+m-i)*b).
+def weighted_divdiff(t, m, e, majorant=False):
+    """The class A_t = divided difference of a^t * prod_{i=0}^{m-1}(i*a + (d+m-i)*b),
+    as {(i, j): coefficient of s_(i,j)} with zero entries left out.
 
-    This is the form appearing inside one recursion step: with d + m in
-    place of d, A_0 is the class of the single part (m) translated by m.
-    The result has weight m - 1 + t.
+    `e` lists e_0, ..., e_m of that product (linear_factor_expansion(m), or
+    its values at a point).  This is the form appearing inside one recursion
+    step: with d + m in place of d, A_0 is the class of the single part (m)
+    translated by m.  A_t has weight m - 1 + t.  With majorant=True the
+    signs are dropped, so nonnegative e give an entrywise upper bound.
     """
     if m < 2:
         raise ValueError("m must be at least 2")
-    e = linear_factor_expansion(m)
     terms = {}
     for f in range(1, m + 1):
         sign, rho = monomial_divdiff(t + m - f, f)
         if sign:
-            terms[rho] = terms.get(rho, DPoly()) + e[f] * sign
-    return SchurClass(m - 1 + t, terms)
+            terms[rho] = terms.get(rho, 0) + (e[f] if majorant else e[f] * sign)
+    return {rho: c for rho, c in terms.items() if c}
+
+
+def class_product(a_t, b_t, weight, out):
+    """Add the product of A_t = {(i, j): c} and B = {v: q}, q the coefficient
+    of s_(weight - v, v), into the difference array `out` of the rows by r2.
+
+    By the Pieri rule s_(i,j) * s_(k,l) is the sum of s_(w-v, v) over the
+    interval j + l <= v <= min(i + l, j + k), each with multiplicity one.
+    Each pair's product is added at the interval's first row and subtracted
+    one past its last, unless that is the balanced row, the last of `out`;
+    the rows are one running sum over `out`.  Entries are ints or DPolys.
+    """
+    top = len(out) - 1
+    for (i, j), c in a_t.items():
+        for l, q in b_t.items():
+            cq = c * q
+            lo, hi = j + l, min(i + l, j + weight - l)
+            out[lo] += cq
+            if hi < top:
+                out[hi + 1] -= cq

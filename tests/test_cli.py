@@ -31,6 +31,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def add_classes(left, right):
+    """The term-by-term sum of two classes of one weight."""
+    rhos = {rho for rho, _ in left.items()} | {rho for rho, _ in right.items()}
+    return SchurClass(left.weight, {rho: left.coefficient(rho) + right.coefficient(rho) for rho in rhos})
+
+
 def src_env():
     return {**os.environ, "PYTHONPATH": str(Path(crsplucker.cli.__file__).parents[1])}
 
@@ -107,12 +113,11 @@ class TestClassCommand:
     def test_divisibility_violation_exits_3(self, capsys, monkeypatch):
         real = crsplucker.crs.split_shift
 
-        def broken(schur_class):
-            # replace B_1 by a class whose coefficients d does not divide
-            buckets = real(schur_class)
+        def broken(values, weight):
+            # replace B_1 by coefficients that d does not divide
+            buckets = real(values, weight)
             if len(buckets) > 1:
-                b_1 = buckets[1]
-                buckets[1] = SchurClass(b_1.weight, {rho: dpoly(1) for rho, _ in b_1.items()})
+                buckets[1] = {v: dpoly(1) for v in buckets[1]}
             return buckets
 
         monkeypatch.setattr(crsplucker.crs, "split_shift", broken)
@@ -133,6 +138,30 @@ class TestClassCommand:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "0d3b92ad9d16dcaee3a1d6aa2ec769be42085782cc8411c0c0d4351dfb1ae099"
         )
+
+
+# sha256 of stdout for the class and plucker renderings, plain, json and latex
+RENDER_SHA256 = {
+    "class 4,3,2 --format plain": "d07907abe792529bdb6b05197396878c9f436c4eee07adc8aea8910d1e5c8bd3",
+    "class 4,3,2 --format json": "dcbaf6e7ee7767b3687c41e62eef31a2a9e3357c22f53255df341a6baa20aaf2",
+    "class 4,3,2 --format latex": "874867bae3fbb9b9ee77073729b07e09d833f1b6420ac662a06b354743b77b33",
+    "class 10,2,2 --format plain": "cacd3d1b29a37cba00ae70d92ee2cc9832ff04ba88a12544f12dbb9875fd6eaa",
+    "class 10,2,2 --format json": "54217cff1d8f54b26639bb13307bdd79ac5a9b31571a521e1b1153cc11f44774",
+    "class 10,2,2 --format latex": "98f2526889d7d7d037b0093bee84848ae828600b4f60008033ed02a921152434",
+    "plucker 4,3,2 --format plain": "9ae7b71d4d6b4e8c535cf10b25d4b0d0e35106281ab9bfa6f45f8d5d1396ed01",
+    "plucker 4,3,2 --format json": "aea03abb70fc7ab1ca1dff92062b120a1eb783af1913a6aac5dd81d7c378159b",
+    "plucker 4,3,2 --format latex": "7158a0f0d3142543824b756c9b7d085b1a86e54159d5f10649fb6de9cb319af1",
+    "plucker 10,2,2 --format plain": "fced754a8308f85a5d71f6ba6425bbb1ec8730954a8527377664ded8e95b04b4",
+    "plucker 10,2,2 --format json": "2b625e199966cc245949064645cf6837e4e8f9fbf3cf517b8914fddfb5cd2aa9",
+    "plucker 10,2,2 --format latex": "235858c48e6c8cf3f6c2a6c72138127cfc4d80887177cc3dbdf26c2d43d03812",
+    "plucker 4,3,2 --eval 9": "6041d606c2b7184de37d518245cbe5300588104ef62eb9674334da22b2276836",
+}
+
+
+def test_renderings_byte_identical(capsys):
+    for argv, digest in RENDER_SHA256.items():
+        code, out, _ = run(capsys, *argv.split())
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest), argv
 
 
 class TestPluckerCommand:
@@ -304,7 +333,7 @@ class TestVerifyCommand:
                     for smaller in enumerate_partitions_no_ones(3):
                         crs_class(smaller, cache=cache)
                     wrong = SchurClass(2, {rho: DPoly({j: Fraction(-(2**k), 2), j + 1: Fraction(1, 2)})})
-                    cache.put(lam, crs_class(lam) + wrong)
+                    cache.put(lam, add_classes(crs_class(lam), wrong))
                     _, failures = run_verification(4, cache)["pivot-independence"]
                     assert [w[:2] for w in failures] == [("(2,2)", "pivot-independence via 2")], (rho, j, k)
 
@@ -359,7 +388,7 @@ class TestVerifyCommand:
 
         def padded(lam, *args, **kwargs):
             cls = real(lam, *args, **kwargs)
-            return cls + extra if lam.parts == (2, 2) else cls
+            return add_classes(cls, extra) if lam.parts == (2, 2) else cls
 
         monkeypatch.setattr(crsplucker.verify, "crs_class", padded)
         code, out, _ = run(capsys, "verify", "--max-weight", "4", "--format", "json")
@@ -427,7 +456,8 @@ class TestCacheFile:
 
     def test_wrong_lower_coefficient_fails_verify(self, capsys, tmp_path):
         # +1 on the d^0 coefficient of s_(2,0): integral, same top slice and
-        # leading terms, so the entry loads; only re-deriving the class catches it
+        # leading terms, so the entry loads; only verify's pivot check at one
+        # exact point catches it, as (2,2) is within --max-weight
         path = tmp_path / "classes.json"
         run(capsys, "--cache", str(path), "plucker", "2,2")
         doc = json.loads(path.read_text())
@@ -520,6 +550,19 @@ class TestCacheFile:
         path.write_text(json.dumps(doc))
         code, out, _ = run(capsys, "--cache", str(path), "plucker", "2,2", "--codim", "2", "--eval", "4")
         assert code != 0 or out.strip() == "12"
+
+    def test_exponent_notation_entry_dropped(self, tmp_path):
+        # "1e999999999" once went to Fraction(), which multiplied the power
+        # out for minutes on every load; a separate process, so a regression
+        # fails on the timeout instead of hanging the suite
+        path = tmp_path / "exp.json"
+        term = {"rho": [2, 0], "coeff": ["1e999999999"]}
+        path.write_text(json.dumps({"2,2": {"terms": [term], "codim": 2, "partition": [2, 2]}}))
+        argv = ["--cache", str(path), "plucker", "2,2", "--codim", "0", "--eval", "4"]
+        done = subprocess.run(
+            [sys.executable, "-m", "crsplucker.cli", *argv], env=src_env(), capture_output=True, text=True, timeout=60
+        )
+        assert (done.returncode, done.stdout) == (0, "28\n")
 
     def test_directory_as_cache_exits_2(self, capsys, tmp_path):
         code, out, err = run(capsys, "--cache", str(tmp_path), "plucker", "2,2", "--codim", "0", "--eval", "4")

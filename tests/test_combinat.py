@@ -11,9 +11,10 @@ from crsplucker.combinat import (
     kostka_two_row,
     stirling_first,
 )
-from crsplucker.symfunc import SchurClass, TwoRowPartition, class_product, unit_class
+from crsplucker.symfunc import SchurClass, TwoRowPartition, unit_class
 
 from monomial_oracle import all_two_row
+from pieri_oracle import pieri_product
 
 
 def brute_force_partitions(max_weight):
@@ -198,7 +199,7 @@ class TestCompleteHomogeneous:
         def product_fold(nu):  # the expansion as a product of classes, h_i = s_(i,0)
             result = unit_class()
             for part in nu:
-                result = class_product(result, SchurClass(part, {TwoRowPartition(part, 0): 1}))
+                result = pieri_product(result, SchurClass(part, {TwoRowPartition(part, 0): 1}))
             return result
 
         for w in range(15):

@@ -13,21 +13,22 @@ from crsplucker.combinat import (
 )
 from crsplucker.crs import (
     ClassCache,
+    D,
     DivisibilityViolation,
     PivotPolicy,
     class_from_json,
     class_to_json,
     class_via,
     crs_class,
-    divide_by_d_power,
     recursion_step,
     rows_at,
     step_at,
 )
 from crsplucker.exactalg import DPoly, dpoly, dpoly_eval
 from crsplucker.plucker import top_degree_class, top_degree_slice, ym_class_closed_form
-from crsplucker.symfunc import SchurClass, TwoRowPartition, class_product, unit_class
+from crsplucker.symfunc import SchurClass, TwoRowPartition, unit_class
 from localization_oracle import localization_class
+from pieri_oracle import pieri_product
 
 
 def y2():
@@ -159,17 +160,18 @@ class TestStepAt:
 
 
 class TestDivisibility:
+    # B_t / d^t by divmod, as step_at divides over Z[d]
     def test_t_zero_always_ok(self):
-        assert divide_by_d_power(y2(), 0) == y2()
+        assert divmod(dpoly(0, -1, 1), 1) == (dpoly(0, -1, 1), 0)
 
     def test_b1_of_y2_ok(self):
-        b1 = SchurClass(0, {TwoRowPartition(0, 0): dpoly(0, -2, 2)})  # 2d^2 - 2d
-        assert divide_by_d_power(b1, 1) == SchurClass(0, {TwoRowPartition(0, 0): dpoly(-2, 2)})
+        assert divmod(dpoly(0, -2, 2), D) == (dpoly(-2, 2), DPoly())  # (2d^2 - 2d) / d
 
     def test_violation_raises(self):
-        bad = SchurClass(0, {TwoRowPartition(0, 0): dpoly(1, 1)})  # d + 1
+        # s_(1,0)(a+x, b+x) = s_(1,0) + 2x: the value 1 of s_(1,0) gives B_1 = 2, not divisible by d
+        assert divmod(dpoly(1, 1), D) == (dpoly(1), dpoly(1))
         with pytest.raises(DivisibilityViolation):
-            divide_by_d_power(bad, 1)
+            step_at([DPoly({0: 1})], 1, 2, D)
 
 
 class TestGoldenOutput:
@@ -201,7 +203,7 @@ class TestLocalizationOracle:
 
     def test_damaged_entry_disagrees(self):
         # +1 on the d^0 coefficient of s_(2,0): the entry still passes every
-        # check on load, and in verify only re-deriving the class catches it
+        # check on load, and in verify only the pivot check at one exact point catches it
         lam = InputPartition((2, 2))
         doc = class_to_json(crs_class(lam), lam)
         assert doc["terms"][0]["rho"] == [2, 0]
@@ -256,7 +258,7 @@ class TestProductLeadingTerm:
             cls = crs_class(lam, cache=cache)
             for m in sorted(set(lam.parts)):
                 e_m = lam.multiplicities[m]
-                product = class_product(
+                product = pieri_product(
                     crs_class(InputPartition((m,)), cache=cache),
                     crs_class(lam.remove(m), cache=cache),
                 ).scale(Fraction(1, e_m))
@@ -274,7 +276,7 @@ class TestProductLeadingTerm:
             single = SchurClass(
                 m - 1, {TwoRowPartition(m - 1, 0): ym.coefficient((m - 1, 0))}
             )
-            product = class_product(single, crs_class(lam.remove(m), cache=cache)).scale(
+            product = pieri_product(single, crs_class(lam.remove(m), cache=cache)).scale(
                 Fraction(1, e_m)
             )
             for rho, coeff in crs_class(lam, cache=cache).items():

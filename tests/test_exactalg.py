@@ -146,6 +146,27 @@ class TestRingAxioms:
             assert isinstance(value, DPoly)
             assert all(e >= 0 for e in value.coeffs)
 
+    @given(polys(), st.integers(-9, 9))
+    def test_int_on_either_side(self, p, n):
+        # the step's difference array starts from int 0s
+        constant = DPoly({0: n})
+        assert p + n == n + p == p + constant
+        assert p - n == p - constant
+        assert n - p == constant - p
+
+    @given(polys(), st.integers(0, 9))
+    def test_divmod_by_a_power_of_d(self, p, t):
+        power = DPoly({t: 1})
+        q, r = divmod(p, power)
+        assert q * power + r == p
+        assert r.degree < t
+        assert divmod(p, 1) == (p, 0)
+
+    def test_divmod_by_other_than_a_power_of_d_refused(self):
+        for divisor in (2, DPoly({1: 2}), dpoly(1, 1)):
+            with pytest.raises(TypeError):
+                divmod(dpoly(0, 1), divisor)
+
 
 class TestRendering:
     def test_coeff_strings(self):
@@ -158,16 +179,31 @@ class TestRendering:
         ["0", "-0", "007", "-12", "+5", " 5", "1/2", "-3/6", "1.5", "--5", "\u0663", 3, 1.5, None],
     )
     def test_parse_agrees_with_fraction(self, text):
-        # int() reads plain decimal strings; everything must come out as Fraction() has it
-        try:
+        # the writer's format, -?[0-9]+ or -?[0-9]+/[0-9]+, comes out as
+        # Fraction() has it; every other entry is refused
+        if text in {"0", "-0", "007", "-12", "1/2", "-3/6"}:
             want = DPoly({0: Fraction(text), 1: 1})
-        except Exception as exc:
-            with pytest.raises(type(exc)):
-                dpoly_from_coeff_strings([text, "1"])
-        else:
             got = dpoly_from_coeff_strings([text, "1"])
             assert got == want
             assert type(got.coefficient(0)) is type(want.coefficient(0))
+        else:
+            with pytest.raises(ValueError):
+                dpoly_from_coeff_strings([text, "1"])
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1e99999999", "1.5", "+5", " 5", "5\n", "\u0663", "1_0", 3, 1.5, None,
+         pytest.param("9" * 5000, id="5000-digits")],
+    )
+    def test_refuses_what_the_writer_never_writes(self, text):
+        # exponent notation once sent Fraction() into expanding 10^99999999;
+        # int()'s digit limit bounds the size of what is read
+        with pytest.raises(ValueError):
+            dpoly_from_coeff_strings([text])
+
+    def test_zero_denominator_raises(self):
+        with pytest.raises(ArithmeticError):
+            dpoly_from_coeff_strings(["1/0"])
 
     @given(polys())
     def test_bit_exact_roundtrip(self, p):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,6 +27,7 @@ from monomial_oracle import (
     schur_monomials,
     substitute_shift,
 )
+from pieri_oracle import pieri_product
 
 
 def two_rows(max_weight=10):
@@ -89,19 +91,27 @@ def interval_fold(left, right):
     return SchurClass(left.weight + right.weight, out)
 
 
+def row_product(left, right):
+    """pieri_product by symfunc.class_product on rows, as one recursion step multiplies."""
+    w = left.weight + right.weight
+    out = [0] * (w // 2 + 1)
+    class_product(dict(left.items()), {rho.r2: c for rho, c in right.items()}, right.weight, out)
+    return SchurClass(w, {TwoRowPartition(w - v, v): row for v, row in enumerate(accumulate(out)) if row})
+
+
 def schur(rho):
     return SchurClass(rho[0] + rho[1], {TwoRowPartition(*rho): 1})
 
 
 class TestSchurProduct:
     def test_pieri_square(self):
-        assert class_product(schur((1, 0)), schur((1, 0))) == SchurClass(2, {(2, 0): 1, (1, 1): 1})
+        assert pieri_product(schur((1, 0)), schur((1, 0))) == SchurClass(2, {(2, 0): 1, (1, 1): 1})
 
     def test_multiply_by_ab(self):
-        assert class_product(schur((2, 1)), schur((1, 1))) == schur((3, 2))
+        assert pieri_product(schur((2, 1)), schur((1, 1))) == schur((3, 2))
 
     def test_mixed(self):
-        assert class_product(schur((2, 0)), schur((2, 1))) == SchurClass(5, {(4, 1): 1, (3, 2): 1})
+        assert pieri_product(schur((2, 0)), schur((2, 1))) == SchurClass(5, {(4, 1): 1, (3, 2): 1})
 
     @settings(max_examples=80)
     @given(two_rows(6), two_rows(6))
@@ -109,7 +119,8 @@ class TestSchurProduct:
         product = mono_mul(schur_monomials(*rho), schur_monomials(*sigma))
         expected = extract_schur(product)
         assert {tuple(t): 1 for t in pieri_interval(rho, sigma)} == expected
-        assert class_product(schur(rho), schur(sigma)) == SchurClass(rho.weight + sigma.weight, expected)
+        for product in (pieri_product, row_product):
+            assert product(schur(rho), schur(sigma)) == SchurClass(rho.weight + sigma.weight, expected)
 
 
 COEFFS = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-3, 2)])
@@ -143,26 +154,27 @@ class TestClassProduct:
     # c (s_(4,0) - s_(3,1)) * s_(1,0) = c (s_(5,0) - s_(3,2)): a middle row cancels
     @example(SchurClass(4, {(4, 0): dpoly(1, Fraction(1, 2)), (3, 1): dpoly(-1, Fraction(-1, 2))}), schur((1, 0)))
     def test_equals_interval_fold(self, left, right):
-        assert class_product(left, right) == interval_fold(left, right)
+        assert pieri_product(left, right) == row_product(left, right) == interval_fold(left, right)
 
     def test_identity(self):
         g = SchurClass(2, {TwoRowPartition(2, 0): dpoly(0, 1), TwoRowPartition(1, 1): dpoly(3)})
-        assert class_product(unit_class(), g) == g
-        assert class_product(g, unit_class()) == g
+        for product in (pieri_product, row_product):
+            assert product(unit_class(), g) == g
+            assert product(g, unit_class()) == g
 
     def test_scalar_pieri(self):
         f = SchurClass(1, {TwoRowPartition(1, 0): dpoly(0, 1)})  # d * s_(1,0)
         g = SchurClass(1, {TwoRowPartition(1, 0): dpoly(1)})
-        got = class_product(f, g)
-        assert got == SchurClass(
-            2, {TwoRowPartition(2, 0): dpoly(0, 1), TwoRowPartition(1, 1): dpoly(0, 1)}
-        )
+        for product in (pieri_product, row_product):
+            assert product(f, g) == SchurClass(
+                2, {TwoRowPartition(2, 0): dpoly(0, 1), TwoRowPartition(1, 1): dpoly(0, 1)}
+            )
 
     def test_square_of_y2(self):
         y2 = SchurClass(1, {TwoRowPartition(1, 0): dpoly(0, -1, 1)})  # d(d-1) s_(1,0)
         sq = dpoly(0, -1, 1) * dpoly(0, -1, 1)
-        got = class_product(y2, y2)
-        assert got == SchurClass(2, {TwoRowPartition(2, 0): sq, TwoRowPartition(1, 1): sq})
+        for product in (pieri_product, row_product):
+            assert product(y2, y2) == SchurClass(2, {TwoRowPartition(2, 0): sq, TwoRowPartition(1, 1): sq})
 
     @settings(max_examples=40)
     @given(two_rows(5), two_rows(5), two_rows(5))
@@ -170,8 +182,9 @@ class TestClassProduct:
         f = SchurClass(r1.weight, {r1: dpoly(1, 2)})
         g = SchurClass(r2.weight, {r2: dpoly(0, 1)})
         h = SchurClass(r3.weight, {r3: dpoly(3)})
-        assert class_product(f, g) == class_product(g, f)
-        assert class_product(class_product(f, g), h) == class_product(f, class_product(g, h))
+        for product in (pieri_product, row_product):
+            assert product(f, g) == product(g, f)
+            assert product(product(f, g), h) == product(f, product(g, h))
 
 
 class TestShiftBoth:
@@ -209,23 +222,22 @@ class TestShiftBoth:
 
 
 class TestSplitShift:
+    # split_shift takes a class's rows by r2 and gives the buckets B_t as {v: c}
     def test_constant_class(self):
-        assert split_shift(unit_class()) == [unit_class()]
+        assert split_shift([1], 0) == [{0: 1}]
+        assert split_shift([dpoly(1)], 0) == [{0: dpoly(1)}]
 
     def test_linear_class(self):
-        f = SchurClass(1, {TwoRowPartition(1, 0): dpoly(0, -1, 1)})
-        b = split_shift(f)
-        assert b[0] == f
-        assert b[1] == SchurClass(0, {TwoRowPartition(0, 0): dpoly(0, -2, 2)})
+        b = split_shift([dpoly(0, -1, 1)], 1)
+        assert b[0] == {0: dpoly(0, -1, 1)}
+        assert b[1] == {0: dpoly(0, -2, 2)}
 
     def test_b0_is_input_and_weights_drop(self):
-        f = SchurClass(
-            3,
-            {TwoRowPartition(3, 0): dpoly(0, 1), TwoRowPartition(2, 1): dpoly(1, 1)},
-        )
-        b = split_shift(f)
-        assert b[0] == f
-        assert [cls.weight for cls in b] == [3, 2, 1, 0]
+        rows = [dpoly(0, 1), dpoly(1, 1)]  # s_(3,0) and s_(2,1)
+        b = split_shift(rows, 3)
+        assert b[0] == dict(enumerate(rows))
+        assert len(b) == 4
+        assert all(2 * v <= 3 - t for t, bucket in enumerate(b) for v in bucket)
 
 
 def dpoly_product_factor_expansion(m):
@@ -243,8 +255,8 @@ def dpoly_product_factor_expansion(m):
 
 class TestWeightedDivdiff:
     def test_shifted_m2_is_translated_y2(self):
-        a0 = weighted_divdiff(0, 2)
-        assert a0 == SchurClass(1, {TwoRowPartition(1, 0): dpoly(2, 3, 1)})  # (d+2)(d+1)
+        a0 = weighted_divdiff(0, 2, linear_factor_expansion(2))
+        assert a0 == {TwoRowPartition(1, 0): dpoly(2, 3, 1)}  # (d+2)(d+1)
 
     def test_unshifted_m3(self):
         # in plain d, A_0 for m = 3 is d(d-1)(d-2) s(2,0) + 3d(d-2) s(1,1)
@@ -252,16 +264,16 @@ class TestWeightedDivdiff:
             TwoRowPartition(2, 0): dpoly(0, 2, -3, 1),
             TwoRowPartition(1, 1): dpoly(0, -6, 3),
         }
-        expected = SchurClass(2, {rho: dpoly_shift(c, 3) for rho, c in plain.items()})
-        assert weighted_divdiff(0, 3) == expected
+        expected = {rho: dpoly_shift(c, 3) for rho, c in plain.items()}
+        assert weighted_divdiff(0, 3, linear_factor_expansion(3)) == expected
 
     def test_t1_m2(self):
         # A_1 for m = 2: -(d+2) s(1,1) + (d+2)(d+1) s(1,1) = d(d+2) s(1,1)
-        a1 = weighted_divdiff(1, 2)
-        assert a1 == SchurClass(2, {TwoRowPartition(1, 1): dpoly(0, 2, 1)})
+        a1 = weighted_divdiff(1, 2, linear_factor_expansion(2))
+        assert a1 == {TwoRowPartition(1, 1): dpoly(0, 2, 1)}
         # in plain d, A_1 is d(d-2) s(1,1)
         a1_plain = dpoly(0, -2, 1)
-        assert a1 == SchurClass(2, {TwoRowPartition(1, 1): dpoly_shift(a1_plain, 2)})
+        assert a1 == {TwoRowPartition(1, 1): dpoly_shift(a1_plain, 2)}
 
     @pytest.mark.parametrize("m", [*range(2, 41), 60])
     def test_factor_expansion_equals_dpoly_product(self, m):
@@ -287,7 +299,7 @@ class TestWeightedDivdiff:
                     for (u, v), c in divided_difference({(t + m - f, f): 1}).items():
                         acc[(u, v)] = acc.get((u, v), DPoly()) + c * e[f]
                 acc = {k: v for k, v in acc.items() if not v.is_zero()}
-                got = weighted_divdiff(t, m)
+                got = weighted_divdiff(t, m, e)
                 # greedy Schur extraction, with DPoly coefficients
                 remaining = dict(acc)
                 extracted = {}
@@ -302,4 +314,5 @@ class TestWeightedDivdiff:
                             remaining.pop(uv, None)
                         else:
                             remaining[uv] = upd
-                assert SchurClass(m - 1 + t, extracted) == got
+                assert extracted == got
+                assert all(u + v == m - 1 + t for u, v in got)
