@@ -170,11 +170,19 @@ def top_degree_slice(schur_class, degree):
 def check_top_degree(partition, schur_class):
     """Raise ValueError unless every coefficient has d-degree at most |lambda|
     and the d^|lambda| slice is top_degree_class, as for the class of
-    `partition`."""
-    weight = partition.weight
+    `partition`: prod e_i! times the slice, by r2, is the int list of
+    complete_homogeneous_coefficients, with no SchurClass built."""
+    if partition.is_empty():
+        raise ValueError("requires a nonempty partition")
+    weight, scale = partition.weight, factorial_of_multiplicities(partition)
     if any(coeff.degree > weight for _, coeff in schur_class.items()):
         raise ValueError(f"class for {partition} has d-degree above {weight}")
-    if top_degree_slice(schur_class, weight) != top_degree_class(partition):
+    if schur_class.weight != partition.codim:
+        raise ValueError(f"class for {partition} has weight {schur_class.weight}, expected {partition.codim}")
+    top = [0] * (partition.codim // 2 + 1)
+    for rho, coeff in schur_class.items():
+        top[rho.r2] = coeff.coefficient(weight) * scale
+    if top != complete_homogeneous_coefficients(partition.reduction):
         raise ValueError(f"top d-degree slice of the class for {partition} is wrong")
 
 
@@ -255,10 +263,11 @@ def step_at(values, weight, m, z, majorant=False):
     z^t exactly, or DivisibilityViolation is raised.
 
     With majorant=True the signs of A_t are dropped and the division rounds
-    up.  Given rows_at(Y', 1 + m, abs) at z = 1 + m, each entry then bounds
-    the sum of the absolute values of that row's d-coefficients: the split
-    constants and the coefficients of each e_f are nonnegative,
-    |B / d^t|(y) = |B|(y) / y^t and |p(d - m)|(1) <= |p|(1 + m).
+    up.  Given an entrywise bound on rows_at(Y', y + m, abs) at z = y + m,
+    for any y >= 1, each entry then bounds that row of rows_at(Y, y, abs),
+    which at y = 1 is the row's 1-norm: the split constants and the
+    coefficients of each e_f are nonnegative, |B / d^t|(z) = |B|(z) / z^t
+    and |p(d - m)|(y) <= |p|(y + m).
     """
     if m < 2:
         raise ValueError("need m >= 2")
@@ -289,6 +298,9 @@ def rows_at(schur_class, scale, x, coeff=int):
     coeff=abs, of the class with each coefficient replaced by its absolute value."""
     rows = [0] * (schur_class.weight // 2 + 1)
     for rho, p in schur_class.items():
+        row = 0
         for e in range(p.degree, -1, -1):
-            rows[rho.r2] = rows[rho.r2] * x + coeff(int(p.coefficient(e) * scale))
+            c = p.coefficient(e)  # an int or a Fraction whose denominator divides scale
+            row = row * x + coeff(c.numerator * scale // c.denominator)
+        rows[rho.r2] = row
     return rows

@@ -118,9 +118,6 @@ class DPoly:
             return self._coeffs == other._coeffs
         return NotImplemented
 
-    def __hash__(self):
-        return hash(frozenset(self._coeffs.items()))
-
     def __bool__(self):
         return bool(self._coeffs)
 

@@ -74,9 +74,6 @@ class SchurClass:
             return self.weight == other.weight and self._terms == other._terms
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self.weight, frozenset(self._terms.items())))
-
     def __repr__(self):
         body = ", ".join(f"s{tuple(rho)}: {c}" for rho, c in self.items())
         return f"SchurClass(weight={self.weight}, {{{body}}})"

@@ -1,56 +1,27 @@
-"""The consistency sweep behind `crsplucker verify`: each check of CHECKS
-takes (lambda, its class, the class of lambda - (m) by distinct part m, the
-cache) and yields, per item it counts, None or a failure witness
-(partition, check, expected, got)."""
+"""The consistency sweep behind `crsplucker verify`: each of CLASS_CHECKS
+takes (lambda, its class, the cache) and yields, per item it counts, None
+or a failure witness (partition, check, expected, got); pivot independence
+checks the whole sweep at one shared point."""
 
 from __future__ import annotations
 
-from .combinat import enumerate_partitions_no_ones, factorial_of_multiplicities
+from operator import add
+
+from .combinat import InputPartition, enumerate_partitions_no_ones, factorial_of_multiplicities
 from .crs import DEFAULT_POLICY, ClassCache, DivisibilityViolation, check_top_degree, crs_class, rows_at, step_at
 from .plucker import plucker_formulas, ym_class_closed_form
 
-
-def pivot_witness(lam, cls, subs):
-    """None when every removal order gives `cls`, else the failure witness.
-
-    For each distinct part m, ascending, one step_at from subs[m], the cached
-    class of lambda - (m), at d = B - m must give the rows of Q = prod e_i! * cls at
-    d = B = 2^K.  K is chosen so that B > 1 + M + H, where M, the largest
-    step_at majorant, bounds every coefficient of each polynomial step and H,
-    the largest row 1-norm of Q, bounds every coefficient of Q.
-    A nonzero integer polynomial of height at most M + H has no root that
-    large (Cauchy's bound), so equal values mean equal classes: the check is
-    exact.
-
-    A removal order through a partition whose class did not build (subs[m]
-    is None) fails without a step.
-    """
-    scale, steps, bound = factorial_of_multiplicities(lam), [], 0
-    try:
-        for m, sub in subs.items():
-            smaller = lam.remove(m)
-            if sub is None:
-                return (str(lam), f"pivot-independence via {m}", "exact division", f"no class for {smaller}")
-            sub = (sub, factorial_of_multiplicities(smaller))
-            steps.append((m, smaller.codim, sub))
-            bound = max(bound, *step_at(rows_at(*sub, 1 + m, abs), smaller.codim, m, 1 + m, majorant=True))
-        x = 1 << (bound + max(rows_at(cls, scale, 1, abs)) + 1).bit_length()
-        target = rows_at(cls, scale, x)
-        for m, weight, sub in steps:
-            if step_at(rows_at(*sub, x - m), weight, m, x - m) != target:
-                return (str(lam), f"pivot-independence via {m}", "identical classes", "diverged")
-    except DivisibilityViolation as exc:
-        return (str(lam), f"pivot-independence via {m}", "exact division", str(exc))
-    return None
+PIVOT = "pivot-independence"
+EMPTY = InputPartition(())
 
 
-def closed_form_single_part(lam, cls, subs, cache):
+def closed_form_single_part(lam, cls, cache):
     if len(lam.parts) == 1:
         expected = ym_class_closed_form(lam.parts[0])
         yield None if cls == expected else (str(lam), "closed-form-single-part", repr(expected), repr(cls))
 
 
-def top_degree(lam, cls, subs, cache):
+def top_degree(lam, cls, cache):
     try:
         check_top_degree(lam, cls)
     except ValueError as exc:
@@ -59,60 +30,116 @@ def top_degree(lam, cls, subs, cache):
         yield None
 
 
-def leading_term(lam, cls, subs, cache):
+def leading_term(lam, cls, cache):
     for row in plucker_formulas(lam, cache=cache).rows:
         yield None if row.match else (str(lam), f"leading-term j={row.formula.j}", *row.mismatch())
 
 
-# name -> check, in the order of verify's report
-CHECKS = {
-    "pivot-independence": lambda lam, cls, subs, cache: [pivot_witness(lam, cls, subs)],
+# name -> check on one built class
+CLASS_CHECKS = {
     "closed-form-single-part": closed_form_single_part,
     "top-degree": top_degree,
     "leading-term": leading_term,
 }
+CHECKS = (PIVOT, *CLASS_CHECKS)  # the order of verify's report
 
 
-def _witnesses(lam, cache):
-    """(check name, witness or None) for each item the checks count on lambda."""
-    # each lam - (m) was swept before lam (by ascending weight): missing when it did not build
+def majorant(lam, max_weight, majorants):
+    """Bounds, by r2, on prod e_i! * the class of lambda at d = 1 + max_weight
+    - |lambda| with absolute coefficients: one majorant step from the bounds
+    of lambda minus the part crs_class removes first."""
+    m = DEFAULT_POLICY.choose(lam.parts)
+    smaller = lam.remove(m)
+    return step_at(majorants[smaller], smaller.codim, m, 1 + max_weight - smaller.weight, majorant=True)
+
+
+def _pivot_witness(lam, values, failed, x):
+    """None when the step through each distinct part m at x - m gives
+    values[lam], else the failure witness.  A lambda - (m) that did not
+    build, then one that failed, fails lambda without a step."""
     smaller = {m: lam.remove(m) for m in sorted(set(lam.parts))}
-    subs = {m: cache.get(sub) if sub.parts else crs_class(sub) for m, sub in smaller.items()}
-    pivot = DEFAULT_POLICY.choose(lam.parts)  # crs_class builds lam from lam - (pivot)
-    try:
-        if subs[pivot] is None:
-            cache.discard(lam)  # lam did not build either, so nothing is built or checked through it
-            raise DivisibilityViolation(f"no class for {smaller[pivot]}")
-        cls = crs_class(lam, cache=cache)
-    except DivisibilityViolation as exc:
-        yield "pivot-independence", (str(lam), "pivot-independence", "exact division", str(exc))
-        return
-    for name, check in CHECKS.items():
-        for witness in check(lam, cls, subs, cache):
-            yield name, witness
+    for m, sub in smaller.items():
+        if sub not in values:
+            return (str(lam), f"{PIVOT} via {m}", "exact division", f"no class for {sub}")
+    for m, sub in smaller.items():
+        if sub in failed:
+            return (str(lam), f"{PIVOT} via {m}", f"{sub} verified", f"{sub} failed")
+    for m, sub in smaller.items():
+        try:
+            if step_at(values[sub], sub.codim, m, x - m) != values[lam]:
+                return (str(lam), f"{PIVOT} via {m}", "identical classes", "diverged")
+        except DivisibilityViolation as exc:
+            return (str(lam), f"{PIVOT} via {m}", "exact division", str(exc))
+    return None
 
 
 def run_verification(max_weight, cache=None):
-    """Build every partition without 1's of weight <= max_weight on the
-    cache, ascending, and run CHECKS on it: {check name: (passed, failures)}.
+    """Build every partition without 1's of weight <= W = max_weight on the
+    cache, ascending, and check it: {check name: (passed, failures)}.
 
-    Each lambda - (m) is swept too, so by induction on the number of parts
-    pivot_witness checks every removal order.  Cache entries of weight at
-    most max_weight are checked like built classes; heavier ones are left as
-    they are.  A lambda that does not build (a DivisibilityViolation, or no
-    class for lambda minus the pivot) fails pivot independence and is not
-    cached, so what is built or checked through it fails without a step.
-    Every partition with a failed check is dropped from the cache at the end.
+    Pass 1 builds each class, runs CLASS_CHECKS on it and steps its
+    majorant.  With Q = prod e_i! * the class, y = 1 + W - |lambda| and
+    x = B - (W - |lambda|), B = 2^K is chosen once, above
+    1 + W + majorant + rows_at(Q, y, abs) in every row of every class.
+    Pass 2 evaluates each Q at x and, for each distinct part m, steps once
+    from the value of lambda - (m) at x - m, which is its own x.
+
+    This is exact by induction on the weight.  lambda passes only if every
+    lambda - (m) passed, so each step starts from the true class; through
+    the smallest part it gives the true Q at x, and by the paper's theorem
+    so does every other part.  The true Q minus the checked one, with d
+    replaced by d - (W - |lambda|), has height below B - 1, as
+    |p(d - s)|(1) <= |p|(1 + s), so by Cauchy's root bound it vanishes at B
+    only if it is zero.  A step through another part that gave some other
+    polynomial is caught unless the difference vanishes at x: no majorant is
+    stepped through that part.  Each lambda - (m) is swept too, so every
+    removal order is checked.
+
+    Cache entries of weight at most W are checked like built classes;
+    heavier ones are left as they are.  A lambda that does not build (a
+    DivisibilityViolation, or no class for lambda minus the pivot) fails
+    pivot independence and is not cached.  Every partition with a failed
+    check is dropped from the cache at the end.
     """
     cache = cache if cache is not None else ClassCache()
-    passed, failures, failed = dict.fromkeys(CHECKS, 0), {name: [] for name in CHECKS}, []
-    for lam in enumerate_partitions_no_ones(max_weight):
-        for name, witness in _witnesses(lam, cache):
-            if witness is None:
-                passed[name] += 1
-            else:
-                failures[name].append(witness)
-                failed.append(lam)
+    sweep = enumerate_partitions_no_ones(max_weight)
+    passed, failures, failed = dict.fromkeys(CHECKS, 0), {name: [] for name in CHECKS}, set()
+
+    def count(name, lam, witness):
+        if witness is None:
+            passed[name] += 1
+        else:
+            failures[name].append(witness)
+            failed.add(lam)
+
+    built, not_built, majorants, bound = {}, {}, {EMPTY: [1]}, 0
+    for lam in sweep:
+        smaller = lam.remove(DEFAULT_POLICY.choose(lam.parts))  # crs_class builds lam from smaller
+        try:
+            if smaller.parts and cache.get(smaller) is None:
+                cache.discard(lam)  # smaller did not build, so nothing is built or checked through it
+                raise DivisibilityViolation(f"no class for {smaller}")
+            built[lam] = cls = crs_class(lam, cache=cache)
+        except DivisibilityViolation as exc:
+            not_built[lam] = (str(lam), PIVOT, "exact division", str(exc))
+            continue
+        for name, check in CLASS_CHECKS.items():
+            for witness in check(lam, cls, cache):
+                count(name, lam, witness)
+        majorants[lam] = majorant(lam, max_weight, majorants)
+        norms = rows_at(cls, factorial_of_multiplicities(lam), 1 + max_weight - lam.weight, abs)
+        bound = max(bound, *map(add, majorants[lam], norms))
+
+    b, values, pivot_failed = 1 << (1 + max_weight + bound).bit_length(), {EMPTY: [1]}, set()
+    for lam in sweep:
+        witness = not_built.get(lam)
+        if lam in built:
+            x = b - (max_weight - lam.weight)
+            values[lam] = rows_at(built[lam], factorial_of_multiplicities(lam), x)
+            witness = _pivot_witness(lam, values, pivot_failed, x)
+        count(PIVOT, lam, witness)
+        if witness is not None:
+            pivot_failed.add(lam)
     for lam in failed:
         cache.discard(lam)
     return {name: (passed[name], failures[name]) for name in CHECKS}

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -297,8 +298,9 @@ class TestVerifyCommand:
 
     def test_warm_run_takes_integer_steps_only(self, monkeypatch):
         # 76 partitions, 139 distinct parts: cold builds each class by one
-        # polynomial step, and both runs check every part by one integer step
-        steps, points = [], []
+        # polynomial step, and both runs step one majorant per class and
+        # check every part by one integer step
+        steps, majorants, points = [], [], []
         real_step, real_point = crsplucker.crs.recursion_step, crsplucker.verify.step_at
 
         def counting_step(y_prime, m):
@@ -306,8 +308,7 @@ class TestVerifyCommand:
             return real_step(y_prime, m)
 
         def counting_point(values, weight, m, z, majorant=False):
-            if not majorant:
-                points.append(m)
+            (majorants if majorant else points).append(m)
             return real_point(values, weight, m, z, majorant)
 
         monkeypatch.setattr(crsplucker.crs, "recursion_step", counting_step)
@@ -315,9 +316,27 @@ class TestVerifyCommand:
         cache = ClassCache()
         for polynomial_steps in (76, 0):
             steps.clear()
+            majorants.clear()
             points.clear()
             assert all(failures == [] for _, failures in run_verification(12, cache).values())
-            assert (len(steps), len(points)) == (polynomial_steps, 139)
+            assert (len(steps), len(majorants), len(points)) == (polynomial_steps, 76, 139)
+
+    def test_chained_majorant_bounds_every_class(self):
+        # the chain from [1] for the empty partition bounds each row of
+        # prod e_i! * the class at y = 1 + W - |lambda| with absolute
+        # coefficients, for a sweep ending at lambda's weight or beyond it
+        cache, checked = ClassCache(), 0
+        for max_weight in (*range(2, 15), 18):
+            majorants = {InputPartition(()): [1]}
+            for lam in enumerate_partitions_no_ones(min(max_weight, 14)):
+                majorants[lam] = crsplucker.verify.majorant(lam, max_weight, majorants)
+                if lam.weight == max_weight or max_weight >= 14:
+                    y = 1 + max_weight - lam.weight
+                    norms = rows_at(crs_class(lam, cache=cache), factorial_of_multiplicities(lam), y, abs)
+                    assert len(majorants[lam]) == len(norms), (lam, max_weight)
+                    assert all(b >= n for b, n in zip(majorants[lam], norms)), (lam, max_weight)
+                    checked += 1
+        assert checked == 3 * 134 - 34  # W = |lambda| is W = 14 for the 34 of weight 14
 
     def test_wrong_class_vanishing_at_a_power_of_two_fails(self):
         # 2! * (the class of (2,2)) plus d^j (d - 2^k) in one row differs from
@@ -516,10 +535,36 @@ class TestCacheFile:
         monkeypatch.setattr(crsplucker.crs, "recursion_step", counting_step)
         passed, failures = run_verification(12, ClassCache.load(path))["pivot-independence"]
         assert raised == [2]
-        assert (passed, len(failures)) == (59, 17)
+        assert (passed, len(failures)) == (54, 22)
         assert failures[0] == ("(2,2)", "pivot-independence via 2", "identical classes", "diverged")
         assert ("(2,2,2,2)", "pivot-independence", "exact division", "no class for (2,2,2)") in failures
         assert ("(3,2,2,2)", "pivot-independence via 3", "exact division", "no class for (2,2,2)") in failures
+        # and one that steps from a partition that failed fails without a step
+        assert ("(3,2,2)", "pivot-independence via 3", "(2,2) verified", "(2,2) failed") in failures
+        stepped_from_a_failure = {
+            "(3,3,2,2)": "(3,2,2)", "(4,3,2,2)": "(4,2,2)", "(5,3,2,2)": "(5,2,2)",
+            "(4,4,2,2)": "(4,2,2)", "(3,3,2,2,2)": "(3,3,2,2)",
+        }
+        for lam, sub in stepped_from_a_failure.items():
+            assert [w[2:] for w in failures if w[0] == lam] == [(f"{sub} verified", f"{sub} failed")], lam
+
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_class_built_on_a_failed_entry_is_not_written_back(self, capsys, tmp_path, degree):
+        # +1/2 on the d^2 (or d^3) coefficient of s_(2,0): the entry loads,
+        # and (2,2,2) builds from it without a violation; its only check
+        # steps from that same entry, so it must fail because (2,2) failed
+        path = tmp_path / "classes.json"
+        run(capsys, "--cache", str(path), "class", "2,2")
+        doc = json.loads(path.read_text())
+        coeff = doc["2,2"]["terms"][0]["coeff"]
+        coeff[degree] = str(Fraction(coeff[degree]) + Fraction(1, 2))
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "--cache", str(path), "verify", "--max-weight", "6")
+        assert code == 1
+        assert err.startswith("first failure: partition (2,2), check pivot-independence via 2")
+        assert {"2,2", "2,2,2"}.isdisjoint(json.loads(path.read_text()))
+        code, out, _ = run(capsys, "--cache", str(path), "plucker", "2,2,2", "--eval", "10")
+        assert (code, out) == (0, "25200\n89600\n")
 
     def test_non_integral_count_exits_3(self, capsys, tmp_path):
         # +1/2 on the d^0 coefficient of s_(2,0): 2! times the class is still
@@ -550,6 +595,17 @@ class TestCacheFile:
         path.write_text(json.dumps(doc))
         code, out, _ = run(capsys, "--cache", str(path), "plucker", "2,2", "--codim", "2", "--eval", "4")
         assert code != 0 or out.strip() == "12"
+
+    def test_huge_key_dropped_fast(self, tmp_path):
+        # the top-degree check once built a SchurClass of a million Fraction
+        # terms from the key alone: seconds and hundreds of MB per load
+        path = tmp_path / "big.json"
+        term = {"rho": [2000001, 0], "coeff": ["0", "1"]}
+        path.write_text(json.dumps({"2000002": {"terms": [term], "codim": 2000001, "partition": [2000002]}}))
+        start = time.process_time()
+        cache = ClassCache.load(path)
+        assert time.process_time() - start < 0.5
+        assert len(cache) == 0
 
     def test_exponent_notation_entry_dropped(self, tmp_path):
         # "1e999999999" once went to Fraction(), which multiplied the power
